@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt lintdoc test race race-live bench bench-json bench-onesided benchguard chaos onesided multitenant loadgen trace-export flows scale ci
+.PHONY: build vet fmt lintdoc test race perfbench race-live bench bench-json bench-onesided benchguard chaos onesided multitenant loadgen trace-export flows scale ci
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ test:
 
 race:
 	$(GO) test -race ./internal/...
+	$(GO) test -race -count=50 ./internal/sim
+
+# The host-cost benchmark's own tests (every workload at tiny size); its
+# module sits outside the root `go test ./...`.
+perfbench:
+	cd perfbench && $(GO) test .
 
 # Live-backend smoke under the race detector: the goroutine transport and
 # progress engine, driven end to end through the bench ping-pong.
@@ -127,4 +133,4 @@ flows:
 	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 300 -duration 1s -seed 7 -flows -o /tmp/dcgn-slo-flows-b.json
 	diff /tmp/dcgn-slo-flows-a.json /tmp/dcgn-slo-flows-b.json
 
-ci: build vet fmt lintdoc test race race-live bench benchguard chaos onesided multitenant loadgen trace-export flows scale
+ci: build vet fmt lintdoc test race perfbench race-live bench benchguard chaos onesided multitenant loadgen trace-export flows scale

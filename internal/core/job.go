@@ -293,6 +293,9 @@ type NodeStats struct {
 // configured backend: virtual time on the default simulated transport,
 // wall-clock time on the live goroutine transport.
 func (j *Job) Run() (Report, error) {
+	if err := j.cfg.shardError(); err != nil {
+		return Report{}, err
+	}
 	if j.cpuKernel == nil && j.gpuKernel == nil {
 		return Report{}, fmt.Errorf("dcgn: no kernels installed")
 	}

@@ -740,3 +740,65 @@ func TestTraceRecordsRequestLifecycles(t *testing.T) {
 		t.Fatalf("trace rendering missing content:\n%s", sb.String())
 	}
 }
+
+// TestShardedConfigErrors: shard settings the sharded backend cannot run
+// come back from Job.Run as errors instead of panicking in NewJob.
+func TestShardedConfigErrors(t *testing.T) {
+	cases := map[string]func(*Config){
+		"negative shards": func(c *Config) { c.Shards = -1 },
+		"shards+jitter":   func(c *Config) { c.Shards, c.JitterFrac = 2, 0.1 },
+		"shards+faults":   func(c *Config) { c.Shards, c.Faults.Drop = 2, 0.1 },
+	}
+	for name, mutate := range cases {
+		cfg := cpuOnlyConfig(2, 1)
+		mutate(&cfg)
+		job := NewJob(cfg)
+		job.SetCPUKernel(func(c *CPUCtx) {})
+		if _, err := job.Run(); err == nil || !strings.HasPrefix(err.Error(), "dcgn: ") {
+			t.Errorf("%s: Run returned %v, want a dcgn configuration error", name, err)
+		}
+	}
+}
+
+// TestPingPongSimStats pins the kernel's switch path on the 2-node CPU
+// ping-pong: a switch costs at most one goroutine channel handoff (the
+// scheduler-goroutine kernel paid two), and procs run on reused
+// goroutines rather than one new goroutine each.
+func TestPingPongSimStats(t *testing.T) {
+	job := NewJob(cpuOnlyConfig(2, 1))
+	job.SetCPUKernel(func(c *CPUCtx) {
+		buf := make([]byte, 1024)
+		for k := 0; k < 32; k++ {
+			var err error
+			if c.Rank() == 0 {
+				if err = c.Send(1, buf); err == nil {
+					_, err = c.Recv(1, buf)
+				}
+			} else if _, err = c.Recv(0, buf); err == nil {
+				err = c.Send(0, buf)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	if _, err := job.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := job.sim.Stats()
+	if st.Switches == 0 {
+		t.Fatalf("no switches counted: %+v", st)
+	}
+	// Channel handoffs: at most one per switch the driver or a proc makes
+	// to another goroutine, plus one per return to the driver; a
+	// self-resume makes none.
+	handoffs := st.Switches - st.SelfResumes + st.DriverReturns
+	if handoffs > st.Switches {
+		t.Errorf("%d channel handoffs for %d switches (%+v), want at most one per switch", handoffs, st.Switches, st)
+	}
+	spawned := st.GoroutinesStarted + st.GoroutinesReused
+	if st.GoroutinesStarted*10 > spawned {
+		t.Errorf("%d goroutines started for %d procs (%+v), want under a tenth", st.GoroutinesStarted, spawned, st)
+	}
+}

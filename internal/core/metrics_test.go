@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -170,6 +171,10 @@ func TestDebugEndpointLive(t *testing.T) {
 	}
 
 	release := make(chan struct{})
+	// parked counts kernels whose message has matched — and so been
+	// observed — before they park; probing earlier can race the match.
+	var parked sync.WaitGroup
+	parked.Add(2)
 	job.SetCPUKernel(func(c *CPUCtx) {
 		buf := make([]byte, 512)
 		switch c.Rank() {
@@ -182,6 +187,7 @@ func TestDebugEndpointLive(t *testing.T) {
 				t.Error(err)
 			}
 		}
+		parked.Done()
 		<-release // park the run so the endpoint can be probed mid-flight
 	})
 
@@ -203,6 +209,7 @@ func TestDebugEndpointLive(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
+	parked.Wait()
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/dcgn", addr))
 	if err != nil {
 		close(release)

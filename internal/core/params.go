@@ -20,6 +20,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"dcgn/internal/device"
@@ -276,19 +278,8 @@ func (c *Config) validate() {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 120 * time.Microsecond
 	}
-	if c.Shards < 0 {
-		panic("core: negative shard count")
-	}
 	if c.Shards > c.Nodes {
 		c.Shards = c.Nodes
-	}
-	if c.Shards > 0 {
-		if c.JitterFrac > 0 {
-			panic("core: sharded runs do not support jitter (per-shard rng draws would depend on the shard count)")
-		}
-		if c.Faults.Enabled() {
-			panic("core: sharded runs do not support fault injection (the chaos harness runs on the single event loop)")
-		}
 	}
 	if c.Params.MaxMsg == 0 {
 		c.Params = DefaultParams()
@@ -320,6 +311,20 @@ func (c *Config) validate() {
 	if c.Flows {
 		c.Trace = true
 	}
+}
+
+// shardError reports a shard setting the sharded backend cannot run;
+// Job.Run returns it instead of running.
+func (c *Config) shardError() error {
+	switch {
+	case c.Shards < 0:
+		return fmt.Errorf("dcgn: negative shard count %d", c.Shards)
+	case c.Shards > 0 && c.JitterFrac > 0:
+		return errors.New("dcgn: sharded runs do not support jitter (per-shard rng draws would depend on the shard count)")
+	case c.Shards > 0 && c.Faults.Enabled():
+		return errors.New("dcgn: sharded runs do not support fault injection (the chaos harness runs on the single event loop)")
+	}
+	return nil
 }
 
 // nodeSpecs expands the configuration into per-node shapes.

@@ -610,6 +610,9 @@ func (r *Runtime) checkSubmittable(job *Job) error {
 	if cfg.Shards > 0 {
 		return fmt.Errorf("dcgn: sharded jobs run exclusively (Job.Run), not under a runtime")
 	}
+	if err := cfg.shardError(); err != nil {
+		return err
+	}
 	if cfg.DebugAddr != "" {
 		return fmt.Errorf("dcgn: the runtime owns the debug endpoint; clear the job's DebugAddr")
 	}

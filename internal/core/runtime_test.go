@@ -477,6 +477,13 @@ func TestRuntimeSubmitValidation(t *testing.T) {
 			j.SetCPUKernel(func(*CPUCtx) {})
 			return j
 		}()},
+		{"negative shards", func() *Job {
+			cfg := backendConfig(transport.BackendSim, 2, 1)
+			cfg.Shards = -1
+			j := NewJob(cfg)
+			j.SetCPUKernel(func(*CPUCtx) {})
+			return j
+		}()},
 		{"debug addr", func() *Job {
 			cfg := backendConfig(transport.BackendSim, 2, 1)
 			cfg.DebugAddr = ":0"

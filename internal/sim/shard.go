@@ -80,7 +80,9 @@ func NewSharded(n int) *Sharded {
 	}
 	sc := &Sharded{shards: make([]*Shard, n)}
 	for i := range sc.shards {
-		sc.shards[i] = &Shard{coord: sc, id: i, sim: New()}
+		sh := &Shard{coord: sc, id: i, sim: New()}
+		sh.sim.pick = sh.pickWindow
+		sc.shards[i] = sh
 	}
 	return sc
 }
@@ -183,24 +185,26 @@ func (sh *Shard) nextEventAt() int64 {
 }
 
 // runWindow executes this shard's events with virtual time strictly below
-// end. At equal timestamps arrivals are delivered before local timers fire
-// (the cross-shard ordering rule); ready procs always run first because
-// they hold the current time.
+// end.
 func (sh *Shard) runWindow(end int64) {
-	s := sh.sim
 	sh.windowEnd = end
+	for p := sh.sim.pick(); p != nil; p = sh.sim.pick() {
+		sh.sim.runProc(p)
+	}
+}
+
+// pickWindow is the shard's scheduling policy inside the window ending at
+// windowEnd. At equal timestamps arrivals are delivered before local
+// timers fire (the cross-shard ordering rule); ready procs always run
+// first because they hold the current time.
+func (sh *Shard) pickWindow() *Proc {
+	s := sh.sim
 	for {
 		if s.failure != nil {
-			return
+			return nil
 		}
-		if len(s.ready) > 0 {
-			p := s.ready[0]
-			s.ready = s.ready[1:]
-			if p.state == stateDone {
-				continue
-			}
-			s.runProc(p)
-			continue
+		if p := s.popReady(); p != nil {
+			return p
 		}
 		tAt, aAt := int64(-1), int64(-1)
 		if s.timers.len() > 0 {
@@ -210,8 +214,8 @@ func (sh *Shard) runWindow(end int64) {
 			aAt = sh.arrivals.peek().at
 		}
 		if aAt >= 0 && (tAt < 0 || aAt <= tAt) {
-			if aAt >= end {
-				return
+			if aAt >= sh.windowEnd {
+				return nil
 			}
 			a := sh.arrivals.pop()
 			if a.at < s.now {
@@ -221,19 +225,15 @@ func (sh *Shard) runWindow(end int64) {
 			s.spawn(a.name, a.fn, false)
 			continue
 		}
-		if tAt >= 0 {
-			if tAt >= end {
-				return
-			}
-			t := s.timers.pop()
-			if t.at < s.now {
-				panic("sim: timer in the past")
-			}
-			s.now = t.at
-			s.unblock(t.p)
-			continue
+		if tAt < 0 || tAt >= sh.windowEnd {
+			return nil
 		}
-		return
+		t := s.timers.pop()
+		if t.at < s.now {
+			panic("sim: timer in the past")
+		}
+		s.now = t.at
+		s.unblock(t.p)
 	}
 }
 

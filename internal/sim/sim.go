@@ -4,9 +4,18 @@
 // library and DCGN itself) are built on top of it.
 //
 // A Sim owns a virtual clock and a set of processes (Procs). Exactly one
-// goroutine — either the scheduler or a single Proc — runs at any moment, so
-// simulation state needs no locking and every run is fully deterministic:
-// the ready queue is FIFO and simultaneous timers fire in creation order.
+// goroutine — either the driver (Run, RunFor or a shard's window) or a
+// single Proc — runs at any moment, so simulation state needs no locking
+// and every run is fully deterministic: the ready queue is FIFO and
+// simultaneous timers fire in creation order.
+//
+// The scheduler step runs on the goroutine of the Proc that parks or
+// finishes: it picks the next Proc exactly as the driver would and hands
+// control straight to that Proc's goroutine (one channel operation per
+// switch, none when the parking Proc is picked again). The driver is woken
+// only at boundaries: an injected thunk, a failure, the end of the run or
+// the window edge. A finished Proc's goroutine is kept and reused by the
+// next Proc to start.
 //
 // Procs advance virtual time only through blocking primitives (Sleep, Event,
 // Chan, Semaphore, ...). Plain Go computation inside a Proc consumes zero
@@ -57,14 +66,10 @@ func (s procState) String() string {
 }
 
 // killSentinel is the panic value used to unwind a Proc's goroutine when the
-// simulation shuts down while the Proc is still blocked.
+// Proc is killed or the simulation shuts down while the Proc is blocked.
 type killSentinelType struct{}
 
 var killSentinel = killSentinelType{}
-
-type resumeMsg struct {
-	kill bool
-}
 
 // ident is a lazily-formatted identifier: either a fixed name or a
 // (prefix, id) pair whose "prefix:id" string form is only materialized
@@ -107,11 +112,16 @@ const (
 // Proc is a simulated process (a cooperative green thread). A Proc handle is
 // also the capability through which the process calls blocking primitives.
 type Proc struct {
-	sim    *Sim
-	ident  ident
-	id     uint64
-	resume chan resumeMsg
-	state  procState
+	sim   *Sim
+	ident ident
+	id    uint64
+	fn    func(p *Proc) // until the proc starts
+	// wake is the channel of the worker goroutine the proc runs on, bound
+	// when it first runs; see Sim.work.
+	wake chan struct{}
+	// nextIdle links finished procs whose worker is idle; see Sim.idle.
+	nextIdle *Proc
+	state    procState
 	// daemon procs (poll loops, progress engines) do not keep the
 	// simulation alive: Run finishes when every non-daemon proc is done.
 	daemon bool
@@ -140,9 +150,21 @@ type Sim struct {
 	procs   []*Proc // all procs ever spawned (for shutdown/diagnostics)
 	live    int     // procs not yet done
 	current *Proc
-	yieldCh chan struct{}
 	failure error
 	stopped bool
+
+	// pick is the driver's scheduling policy: it makes every decision up
+	// to the next proc to run (firing timers, delivering arrivals) and
+	// returns that proc, or nil when control must go back to the driver.
+	// A parking or finishing proc runs it on its own goroutine.
+	pick func() *Proc
+	// driverCh wakes the driver goroutine once pick returns nil, or once
+	// a Kill's victim has unwound.
+	driverCh chan struct{}
+	// idle is the last finished proc whose worker waits for the next proc
+	// to start; earlier ones chain through nextIdle.
+	idle  *Proc
+	stats Stats
 
 	rng        *rand.Rand
 	jitterFrac float64
@@ -165,11 +187,32 @@ type Sim struct {
 
 // New creates an empty simulation with the virtual clock at zero.
 func New() *Sim {
-	return &Sim{
-		yieldCh: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(1)),
+	s := &Sim{
+		driverCh: make(chan struct{}),
+		rng:      rand.New(rand.NewSource(1)),
 	}
+	s.pick = s.pickRun
+	return s
 }
+
+// Stats counts the kernel's own scheduling work. A switch is one resumption
+// of a proc; each is made by the driver, by a direct handoff from the
+// proc that parked or finished, or as a self-resume when the picker chose
+// the parking proc itself (no goroutine switch at all). The driver is
+// resumed DriverReturns times. Every proc that starts runs on a goroutine
+// that was either started for it or reused from a finished proc.
+type Stats struct {
+	Switches          uint64
+	DirectHandoffs    uint64
+	SelfResumes       uint64
+	DriverReturns     uint64
+	GoroutinesStarted uint64
+	GoroutinesReused  uint64
+}
+
+// Stats returns the kernel's counters so far. Like all simulation state it
+// must be read from the running Proc, scheduler context, or after Run.
+func (s *Sim) Stats() Stats { return s.stats }
 
 // SetJitter configures multiplicative timing jitter: every duration passed
 // through Jitter is scaled by a factor drawn uniformly from
@@ -239,7 +282,7 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 		sim:    s,
 		ident:  name,
 		id:     s.seq,
-		resume: make(chan resumeMsg),
+		fn:     fn,
 		state:  stateReady,
 		daemon: daemon,
 	}
@@ -248,37 +291,133 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 		s.live++
 	}
 	s.ready = append(s.ready, p)
-	go func() {
-		msg := <-p.resume
-		if msg.kill {
-			p.state = stateDone
-			s.yieldCh <- struct{}{}
+	return p
+}
+
+// resume makes p the running proc and wakes the worker that runs it: p's
+// own if p has parked, otherwise an idle worker or a new one. self is the
+// calling worker's channel (nil for the driver); resume reports whether p
+// was bound to self, in which case the caller must run p itself instead
+// of waiting on its channel.
+func (s *Sim) resume(p *Proc, self chan struct{}) bool {
+	s.current = p
+	p.state = stateRunning
+	s.stats.Switches++
+	if p.wake != nil {
+		p.wake <- struct{}{}
+		return false
+	}
+	if q := s.idle; q != nil {
+		s.idle = q.nextIdle
+		p.wake = q.wake
+		s.stats.GoroutinesReused++
+		if p.wake == self {
+			return true
+		}
+		p.wake <- struct{}{}
+		return false
+	}
+	s.stats.GoroutinesStarted++
+	p.wake = make(chan struct{})
+	go s.work(p.wake, p)
+	return false
+}
+
+// handoff runs the scheduler step on the goroutine of from, a proc that
+// just parked (from == self's proc) or finished (from == nil), and
+// passes control to the proc the picker chose, or to the driver. It
+// returns the proc the calling worker must go on running without waiting:
+// from itself on a self-resume, or a fresh proc bound to this worker.
+func (s *Sim) handoff(self chan struct{}, from *Proc) *Proc {
+	next := s.pick()
+	switch {
+	case next == nil:
+		s.current = nil
+		s.stats.DriverReturns++
+		s.driverCh <- struct{}{}
+		return nil
+	case next == from:
+		next.state = stateRunning
+		s.stats.Switches++
+		s.stats.SelfResumes++
+		return next
+	}
+	s.stats.DirectHandoffs++
+	if s.resume(next, self) {
+		return next
+	}
+	return nil
+}
+
+// work is the body of a worker: a goroutine that runs procs one after
+// another. It runs p, then goes on the idle list, from which the next
+// proc to start takes it, until shutdown reaps it. A send on wake resumes
+// the worker to run s.current: its own parked proc, or a fresh one when
+// idle. With no current proc (scheduler context) the send kills the
+// parked proc, or ends the idle worker.
+func (s *Sim) work(wake chan struct{}, p *Proc) {
+	for p != nil {
+		s.call(p)
+		p.nextIdle = s.idle
+		s.idle = p
+		p = s.exit(p, wake)
+	}
+}
+
+// call runs p's function to its end. A panic is recorded as the run's
+// failure. A runtime.Goexit from inside the proc (t.FailNow in a test)
+// ends the goroutine, so the deferred handler passes control on itself.
+func (s *Sim) call(p *Proc) {
+	returned := false
+	defer func() {
+		if returned {
 			return
 		}
-		defer func() {
-			r := recover()
-			if _, isKill := r.(killSentinelType); isKill {
-				p.state = stateDone
-				s.yieldCh <- struct{}{}
-				return
-			}
-			if r != nil {
-				if s.failure == nil {
-					s.failure = &PanicError{Proc: p.Name(), Value: r, Stack: string(debug.Stack())}
-				}
-			}
-			p.state = stateDone
-			if !p.daemon {
-				s.live--
-				if s.live == 0 {
-					s.idleAt = s.now
-				}
-			}
-			s.yieldCh <- struct{}{}
-		}()
-		fn(p)
+		r := recover()
+		if _, killed := r.(killSentinelType); !killed && r != nil && s.failure == nil {
+			s.failure = &PanicError{Proc: p.Name(), Value: r, Stack: string(debug.Stack())}
+		}
+		if r == nil {
+			s.exit(p, nil)
+		}
 	}()
-	return p
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	returned = true
+}
+
+// exit passes control on from p, which has just ended on the worker with
+// channel self (nil when that goroutine is ending too), and returns the
+// next proc for self to run. A killed p hands back to the Kill or
+// shutdown waiting in scheduler context; any other p is finished and
+// hands off to whatever the picker chooses.
+func (s *Sim) exit(p *Proc, self chan struct{}) *Proc {
+	if p.state == stateDone {
+		s.stats.DriverReturns++
+		s.driverCh <- struct{}{}
+	} else {
+		s.finish(p)
+		if next := s.handoff(self, nil); next != nil {
+			return next
+		}
+	}
+	if self == nil {
+		return nil
+	}
+	<-self
+	return s.current
+}
+
+// finish marks p done and, for a non-daemon, updates the live count.
+func (s *Sim) finish(p *Proc) {
+	p.state = stateDone
+	if !p.daemon {
+		s.live--
+		if s.live == 0 {
+			s.idleAt = s.now
+		}
+	}
 }
 
 // checkCurrent panics unless p is the Proc currently scheduled to run. It
@@ -301,13 +440,13 @@ func (p *Proc) park(kind parkKind, obj labeler, arg int64) {
 	p.blockKind = kind
 	p.blockObj = obj
 	p.blockArg = arg
-	s := p.sim
-	s.yieldCh <- struct{}{}
-	msg := <-p.resume
-	if msg.kill {
-		panic(killSentinel)
+	if s := p.sim; s.handoff(p.wake, p) == nil {
+		<-p.wake
+		if s.current != p { // woken by Kill or shutdown
+			p.state = stateDone
+			panic(killSentinel)
+		}
 	}
-	p.state = stateRunning
 	p.blockKind = parkNone
 	p.blockObj = nil
 }
@@ -367,13 +506,11 @@ func (p *Proc) SleepJit(d time.Duration) {
 // Yield gives other ready Procs a chance to run at the same virtual time.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// runProc hands control to p and waits for it to block, finish or spawn.
+// runProc hands control from the driver to p and waits until the procs,
+// handing off among themselves, give it back.
 func (s *Sim) runProc(p *Proc) {
-	s.current = p
-	p.state = stateRunning
-	p.resume <- resumeMsg{}
-	<-s.yieldCh
-	s.current = nil
+	s.resume(p, nil)
+	<-s.driverCh
 }
 
 // Inject posts fn to be executed by the scheduler goroutine at the next
@@ -426,14 +563,8 @@ func (s *Sim) Kill(p *Proc) {
 	if s.current != nil {
 		panic("sim: Kill called while a proc is running; use Inject")
 	}
-	p.resume <- resumeMsg{kill: true}
-	<-s.yieldCh
-	if !p.daemon {
-		s.live--
-		if s.live == 0 {
-			s.idleAt = s.now
-		}
-	}
+	s.unwind(p)
+	s.finish(p)
 }
 
 // Run executes the simulation until every Proc has finished. It returns an
@@ -442,12 +573,34 @@ func (s *Sim) Kill(p *Proc) {
 // Proc goroutines have been torn down.
 func (s *Sim) Run() error {
 	defer s.shutdown()
+	if err := s.drive(); err != nil || s.live == 0 {
+		return err
+	}
+	if s.timers.len() > 0 {
+		return &TimeoutError{Limit: time.Duration(s.maxTime)}
+	}
+	return s.deadlockError()
+}
+
+// drive runs the procs pick chooses, and the injected thunks, until pick
+// has nothing left to run; it returns the failure, if a proc panicked.
+func (s *Sim) drive() error {
 	for {
-		if s.injPending.Load() > 0 {
+		if p := s.pick(); p != nil {
+			s.runProc(p)
+		} else if s.injPending.Load() > 0 {
 			s.drainInjected()
-		}
-		if s.failure != nil {
+		} else {
 			return s.failure
+		}
+	}
+}
+
+// pickRun is Run's scheduling policy.
+func (s *Sim) pickRun() *Proc {
+	for {
+		if s.injPending.Load() > 0 || s.failure != nil {
+			return nil
 		}
 		// Drain ready Procs before testing live: the last non-daemon Proc's
 		// exit may leave daemons woken by final deliveries — a sink holding
@@ -455,32 +608,36 @@ func (s *Sim) Run() error {
 		// next block point (same virtual instant; timers below still never
 		// fire once nothing is live) lets those handoffs finish so
 		// end-of-run resource accounting balances.
-		if len(s.ready) > 0 {
-			p := s.ready[0]
-			s.ready = s.ready[1:]
-			if p.state == stateDone {
-				continue
-			}
-			s.runProc(p)
-			continue
+		if p := s.popReady(); p != nil {
+			return p
 		}
-		if s.live == 0 {
+		if s.live == 0 || s.timers.len() == 0 {
 			return nil
 		}
-		if s.timers.len() > 0 {
-			t := s.timers.pop()
-			if t.at < s.now {
-				panic("sim: timer in the past")
-			}
-			if s.maxTime > 0 && t.at > s.maxTime {
-				return &TimeoutError{Limit: time.Duration(s.maxTime)}
-			}
-			s.now = t.at
-			s.unblock(t.p)
-			continue
+		t := s.timers.peek()
+		if t.at < s.now {
+			panic("sim: timer in the past")
 		}
-		return s.deadlockError()
+		if s.maxTime > 0 && t.at > s.maxTime {
+			return nil
+		}
+		s.timers.pop()
+		s.now = t.at
+		s.unblock(t.p)
 	}
+}
+
+// popReady dequeues the first ready proc that is not done (a killed proc
+// may still sit in the queue), or returns nil once the queue is empty.
+func (s *Sim) popReady() *Proc {
+	for len(s.ready) > 0 {
+		p := s.ready[0]
+		s.ready = s.ready[1:]
+		if p.state != stateDone {
+			return p
+		}
+	}
+	return nil
 }
 
 // TimeoutError reports that the virtual clock exceeded the SetMaxTime limit.
@@ -496,42 +653,43 @@ func (e *TimeoutError) Error() string {
 // It is intended for driving open-ended workloads in tests.
 func (s *Sim) RunFor(deadline time.Duration) error {
 	defer s.shutdown()
-	for {
-		if s.injPending.Load() > 0 {
-			s.drainInjected()
-		}
-		if s.failure != nil {
-			return s.failure
-		}
-		if s.live == 0 {
-			return nil
-		}
-		if len(s.ready) > 0 {
-			p := s.ready[0]
-			s.ready = s.ready[1:]
-			if p.state == stateDone {
-				continue
+	s.pick = func() *Proc {
+		for {
+			if s.injPending.Load() > 0 || s.failure != nil || s.live == 0 {
+				return nil
 			}
-			s.runProc(p)
-			continue
-		}
-		if s.timers.len() > 0 {
-			if s.timers.peek().at > int64(deadline) {
+			if p := s.popReady(); p != nil {
+				return p
+			}
+			if s.timers.len() == 0 || s.timers.peek().at > int64(deadline) {
 				return nil
 			}
 			t := s.timers.pop()
 			s.now = t.at
 			s.unblock(t.p)
-			continue
 		}
-		if s.live == 0 {
-			return nil
-		}
-		return s.deadlockError()
 	}
+	if err := s.drive(); err != nil || s.live == 0 || s.timers.len() > 0 {
+		return err
+	}
+	return s.deadlockError()
 }
 
-// shutdown kills every goroutine still parked so they do not leak.
+// unwind kills p in scheduler context. A proc that never ran is simply
+// marked done; a parked one is woken with no current proc, so its
+// goroutine unwinds through the kill sentinel, running its defers, and
+// hands back.
+func (s *Sim) unwind(p *Proc) {
+	if p.wake == nil {
+		p.state = stateDone
+		return
+	}
+	p.wake <- struct{}{}
+	<-s.driverCh
+}
+
+// shutdown kills every proc still parked and reaps the idle workers, so
+// no goroutine outlives the run.
 func (s *Sim) shutdown() {
 	if s.stopped {
 		return
@@ -546,9 +704,12 @@ func (s *Sim) shutdown() {
 		if p.state == stateDone || p.state == stateRunning {
 			continue
 		}
-		p.resume <- resumeMsg{kill: true}
-		<-s.yieldCh
+		s.unwind(p)
 	}
+	for q := s.idle; q != nil; q = q.nextIdle {
+		q.wake <- struct{}{}
+	}
+	s.idle = nil
 }
 
 // deadlockError builds a diagnostic listing every blocked Proc.
