@@ -30,7 +30,9 @@ import (
 
 	"dcgn/internal/apps"
 	"dcgn/internal/core"
+	"dcgn/internal/device"
 	"dcgn/internal/gas"
+	"dcgn/internal/transport/faults"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_virtual.json from the current code")
@@ -244,6 +246,151 @@ func collectiveMix() (map[string]int64, error) {
 	return m, nil
 }
 
+// wireMode runs one lane's 2-node workload in one wire mode and returns
+// the traffic and reliability counters plus a checksum of what the
+// receiving side ended up holding. rel turns on the reliability layer
+// with a seeded 12% drop rate; flows turns on flow tracing, which widens
+// every data frame by its flow context.
+func wireMode(lane string, rel, flows bool) (map[string]int64, error) {
+	cfg := core.DefaultConfig()
+	cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 2, 1, 0, 0
+	cfg.Flows = flows
+	if rel {
+		cfg.Reliability.Enabled = true
+		cfg.Faults = faults.Config{Seed: 3, Drop: 0.12}
+	}
+	if lane != "twosided" {
+		cfg.OneSided = true
+	}
+	if lane == "triggered" {
+		cfg.GPUs, cfg.SlotsPerGPU = 1, 1
+		cfg.Device.MemBytes = 8 << 20
+	}
+	job := core.NewJob(cfg)
+	h := fnv.New64a()
+	var kernErr error
+	fail := func(tag string, err error) {
+		if err != nil && kernErr == nil {
+			kernErr = fmt.Errorf("%s: %w", tag, err)
+		}
+	}
+	fill := func(buf []byte, salt int) []byte {
+		for i := range buf {
+			buf[i] = byte(salt*29 + i)
+		}
+		return buf
+	}
+	const rounds = 6
+	win := make([]byte, 1024)
+	var wins [][]byte
+	switch lane {
+	case "twosided":
+		// Ping-pong across the eager/rendezvous split, both directions.
+		job.SetCPUKernel(func(c *core.CPUCtx) {
+			peer := 1 - c.Rank()
+			for i, size := range []int{0, 100, 4096, 70000} {
+				buf := make([]byte, size)
+				if c.Rank() == 0 {
+					fail("send", c.Send(peer, fill(buf, i)))
+					_, err := c.Recv(peer, buf)
+					fail("recv", err)
+					h.Write(buf)
+				} else {
+					_, err := c.Recv(peer, buf)
+					fail("recv", err)
+					for j := range buf {
+						buf[j]++
+					}
+					fail("send", c.Send(peer, buf))
+				}
+			}
+		})
+	case "onesided", "persistent":
+		job.SetCPUKernel(func(c *core.CPUCtx) {
+			if c.Rank() == 1 {
+				c.RegisterWindow(0, win)
+			}
+			c.Barrier()
+			if c.Rank() == 1 {
+				c.WinWait(0, rounds+1)
+				return
+			}
+			if lane == "persistent" {
+				data := make([]byte, 200)
+				pp := c.NewPersistentPut(1, 0, 64, data)
+				for i := 0; i < rounds; i++ {
+					fill(data, i)
+					fail("persistent", pp.Start())
+				}
+				pp.Free()
+				fail("put", c.Put(1, 0, 512, fill(make([]byte, 32), 9)))
+			} else {
+				for i := 0; i < rounds; i++ {
+					fail("put", c.Put(1, 0, 8*i, fill(make([]byte, 40+i), i)))
+				}
+				fail("accumulate", c.Accumulate(1, 0, 512, core.AtomicSum, []int64{3, 5, 7}))
+				old, err := c.FetchAndOp(1, 0, 520, core.AtomicMax, 11)
+				fail("fetch-and-op", err)
+				fmt.Fprintf(h, "fetch=%d;", old)
+			}
+			got := make([]byte, len(win))
+			_, err := c.Get(1, 0, 0, got)
+			fail("get", err)
+			h.Write(got)
+		})
+	case "triggered":
+		// Each GPU fires dynamic then persistent triggered puts into the
+		// other node's CPU window.
+		wins = [][]byte{make([]byte, 2*rounds*64), make([]byte, 2*rounds*64)}
+		job.SetCPUKernel(func(c *core.CPUCtx) {
+			c.RegisterWindow(0, wins[c.Rank()/2])
+			c.WinWait(0, 2*rounds)
+		})
+		job.SetGPUSetup(func(s *core.GPUSetup) {
+			ptr := s.Dev.Mem().MustAlloc(64)
+			s.Args["buf"] = ptr
+			s.Args["pid"] = s.RegisterTrigger(0, 2*(1-s.Node), 0, rounds*64, ptr, 64)
+		})
+		job.SetGPUKernel(1, 4, func(g *core.GPUCtx) {
+			if g.Block().Idx != 0 {
+				return
+			}
+			dst := 2 * (1 - (g.Rank(0)-1)/2)
+			ptr := g.Arg("buf").(device.Ptr)
+			data := g.Block().Bytes(ptr, 64)
+			for i := 0; i < rounds; i++ {
+				fill(data, i)
+				g.TriggerPut(0, 0, dst, 0, i*64, ptr, 64)
+				g.TriggerFence(0)
+			}
+			for i := 0; i < rounds; i++ {
+				g.TriggerStart(g.Arg("pid").(int))
+			}
+			g.TriggerDrain(g.Arg("pid").(int))
+		})
+	}
+	rep, err := job.Run()
+	if err == nil {
+		err = kernErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range wins {
+		h.Write(w)
+	}
+	return map[string]int64{
+		"elapsed-ns":    rep.Elapsed.Nanoseconds(),
+		"net-packets":   int64(rep.NetPackets),
+		"net-bytes":     rep.NetBytes,
+		"retransmits":   rep.Retransmits,
+		"acks-sent":     rep.AcksSent,
+		"acks-received": rep.AcksReceived,
+		"dup-frames":    rep.DupWireFrames,
+		"payload-fnv":   int64(h.Sum64()),
+	}, nil
+}
+
 // goldenResults runs every scenario and collects exact metrics.
 func goldenResults() (goldenMetrics, error) {
 	out := goldenMetrics{}
@@ -387,6 +534,21 @@ func goldenResults() (goldenMetrics, error) {
 	cm, err := collectiveMix()
 	if err := put("collective-mix", cm, err); err != nil {
 		return nil, err
+	}
+
+	// Every wire mode: each lane's traffic under reliability off/on (with
+	// seeded drops) and flows off/on, so a header-length slip in any
+	// frame layout moves net-bytes and virtual time.
+	for _, lane := range []string{"twosided", "onesided", "persistent", "triggered"} {
+		for _, rel := range []bool{false, true} {
+			for _, flows := range []bool{false, true} {
+				name := fmt.Sprintf("wire/%s/rel=%v/flows=%v", lane, rel, flows)
+				m, err := wireMode(lane, rel, flows)
+				if err := put(name, m, err); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 
 	return out, nil
