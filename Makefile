@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt lintdoc test race perfbench race-live bench bench-json bench-onesided benchguard chaos onesided multitenant loadgen trace-export flows scale ci
+.PHONY: build vet fmt lintdoc test race perfbench race-live bench bench-json bench-onesided benchguard chaos fuzz onesided multitenant loadgen trace-export flows scale ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,11 @@ bench-json:
 # both paths per Fig. 6 size, written as JSON.
 bench-onesided:
 	$(GO) run ./cmd/dcgn-bench -onesided BENCH_7.json
+
+# Wire-codec fuzz: unmarshal must never panic, and every frame it accepts
+# must re-marshal to the same header and payload bytes.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzFrameUnmarshal -fuzztime=20s ./internal/core
 
 # One-sided lane gate: conformance + triggered-path suite and the chaos
 # differential under the race detector, then the ablation JSON.
@@ -133,4 +138,4 @@ flows:
 	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 300 -duration 1s -seed 7 -flows -o /tmp/dcgn-slo-flows-b.json
 	diff /tmp/dcgn-slo-flows-a.json /tmp/dcgn-slo-flows-b.json
 
-ci: build vet fmt lintdoc test race perfbench race-live bench benchguard chaos onesided multitenant loadgen trace-export flows scale
+ci: build vet fmt lintdoc test race perfbench race-live bench benchguard chaos fuzz onesided multitenant loadgen trace-export flows scale

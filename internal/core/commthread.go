@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"dcgn/internal/device"
 	"dcgn/internal/pcie"
@@ -49,9 +50,9 @@ type nodeState struct {
 	index  matcher
 	coll   collector
 
-	// rel holds the wire-level reliability state (reliable.go) when
-	// Config.Reliability is enabled; nil means the legacy wire format.
-	rel *relState
+	// rel is the two-sided lane's seq/ack state (reliable.go) when
+	// Config.Reliability is enabled; nil means plain 24-byte frames.
+	rel *seqLane
 
 	// osw holds the one-sided engine (onesided.go) when Config.OneSided is
 	// set; nil means the lane (and its sink daemon) does not exist.
@@ -73,6 +74,9 @@ type nodeState struct {
 	// collRetried counts node-level collective calls re-executed after a
 	// transient transport failure (collCall); read atomically by fillReport.
 	collRetried int64
+	// decodeErrors counts malformed inbound frames dropped on either lane;
+	// read atomically by fillReport.
+	decodeErrors int64
 }
 
 // start spawns the node's communication thread and its transport receiver
@@ -120,6 +124,10 @@ func (ns *nodeState) runCommThread(p transport.Proc) {
 // the payload aliases the wire buffer until the comm thread delivers it
 // and returns the buffer to the pool.
 func (ns *nodeState) runReceiver(p transport.Proc) {
+	lane, deliver := lanePlain, ns.postWire
+	if ns.rel != nil {
+		lane, deliver = laneSeq, ns.rel.recv
+	}
 	for {
 		msg, err := ns.tr.RecvMsg(p)
 		if err != nil {
@@ -127,23 +135,34 @@ func (ns *nodeState) runReceiver(p transport.Proc) {
 				if ns.rel != nil {
 					// Teardown can close the wire with resequencing gaps
 					// still parked; their buffers go back to the pool.
-					ns.rel.releaseHeld(ns.job.pool)
+					ns.rel.releaseHeld()
 				}
 				return // transport shut down (live backend teardown)
 			}
 			panic(fmt.Sprintf("dcgn: receiver on node %d: %v", ns.node, err))
 		}
-		if ns.rel != nil {
-			ns.recvReliable(p, msg)
+		f, err := unmarshal(msg, lane, ns.flowsOn)
+		if err != nil {
+			// A malformed frame is dropped, never fatal; under
+			// Config.Reliability the sender retransmits it.
+			ns.dropFrame(msg)
 			continue
 		}
-		src, dst, payload, traceID, spanID, err := unpackWire(msg, ns.flowsOn)
-		if err != nil {
-			panic(fmt.Sprintf("dcgn: receiver on node %d: %v", ns.node, err))
-		}
-		p.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
-		ns.intake.postInbound(&inbound{src: src, dst: dst, data: payload, backing: msg, traceID: traceID, spanID: spanID})
+		deliver(p, f)
 	}
+}
+
+// postWire hands one in-order two-sided frame to the comm thread.
+func (ns *nodeState) postWire(p transport.Proc, f frame) {
+	p.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
+	ns.intake.postInbound(&f)
+}
+
+// dropFrame discards one malformed frame's buffer and counts it in
+// NodeStats.DecodeErrors.
+func (ns *nodeState) dropFrame(msg []byte) {
+	ns.job.pool.Put(msg)
+	atomic.AddInt64(&ns.decodeErrors, 1)
 }
 
 // handleRequest routes one local request.

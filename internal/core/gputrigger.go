@@ -179,7 +179,7 @@ func (gt *gpuThread) fireTriggered(p *sim.Proc, tk *trigToken) {
 		}
 		w.arrive(clipped)
 	} else {
-		f := &osFrame{kind: osPut, src: srcRank, dst: dstRank, win: winID, offset: offset, postedNs: int64(p.Now()), payload: payload}
+		f := &frame{kind: kindPut, src: srcRank, dst: dstRank, win: uint32(winID), offset: offset, postedNs: int64(p.Now()), payload: payload}
 		if err := ns.osSendFrame(p, dstNode, f); err != nil {
 			panic(fmt.Sprintf("dcgn: triggered put from rank %d to rank %d: %v", srcRank, dstRank, err))
 		}

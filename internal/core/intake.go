@@ -36,7 +36,7 @@ func (in *intake) postRequest(req *request) {
 }
 
 // postInbound funnels one inbound wire message into the stream.
-func (in *intake) postInbound(ib *inbound) {
+func (in *intake) postInbound(ib *frame) {
 	in.wirePosts.Add(1)
 	in.notePeak(in.inflight.Add(1))
 	in.q.Put(commMsg{in: ib})

@@ -212,6 +212,9 @@ type Report struct {
 	DupWireFrames int64
 	AcksSent      int64
 	AcksReceived  int64
+	// DecodeErrors counts malformed inbound frames dropped over all nodes
+	// (a frame that fails to parse is discarded, never fatal).
+	DecodeErrors int64
 	// CollRetries counts node-level collective calls re-executed after a
 	// transient transport failure, summed over all nodes.
 	CollRetries int64
@@ -276,6 +279,9 @@ type NodeStats struct {
 	DupWireFrames int64
 	AcksSent      int64
 	AcksReceived  int64
+	// DecodeErrors counts malformed frames this node dropped on either
+	// lane.
+	DecodeErrors int64
 	// CollRetries counts this node's collective re-executions after
 	// transient transport failures.
 	CollRetries int64
@@ -374,7 +380,7 @@ func (j *Job) buildSimNode(n int, s *sim.Sim, rtv rt) *nodeState {
 		index:  newMatchIndex(),
 	}
 	if j.cfg.Reliability.Enabled {
-		ns.rel = newRelState(j.cfg.Nodes)
+		ns.rel = newSeqLane(ns, ns.tr.Send, kindAck, ns.postWire)
 	}
 	if j.metrics != nil {
 		ns.met = newNodeMetrics(j.metrics)
@@ -501,15 +507,17 @@ func (j *Job) fillReport(rep *Report) {
 			PeakPending:     ns.index.peakDepth(),
 		}
 		if ns.rel != nil {
-			st.Retransmits = atomic.LoadInt64(&ns.rel.retransmits)
-			st.DupWireFrames = atomic.LoadInt64(&ns.rel.dupFrames)
-			st.AcksSent = atomic.LoadInt64(&ns.rel.acksSent)
-			st.AcksReceived = atomic.LoadInt64(&ns.rel.acksReceived)
-			rep.Retransmits += st.Retransmits
-			rep.DupWireFrames += st.DupWireFrames
-			rep.AcksSent += st.AcksSent
-			rep.AcksReceived += st.AcksReceived
+			ns.rel.addStats(&st)
 		}
+		if ns.osw != nil && ns.osw.rel != nil {
+			ns.osw.rel.addStats(&st)
+		}
+		rep.Retransmits += st.Retransmits
+		rep.DupWireFrames += st.DupWireFrames
+		rep.AcksSent += st.AcksSent
+		rep.AcksReceived += st.AcksReceived
+		st.DecodeErrors = atomic.LoadInt64(&ns.decodeErrors)
+		rep.DecodeErrors += st.DecodeErrors
 		st.CollRetries = atomic.LoadInt64(&ns.collRetried)
 		rep.CollRetries += st.CollRetries
 		if ns.osw != nil {

@@ -72,7 +72,7 @@ func (j *Job) runLiveEnv(env *liveEnv) (Report, error) {
 			index:  newMatchIndex(),
 		}
 		if j.cfg.Reliability.Enabled {
-			ns.rel = newRelState(j.cfg.Nodes)
+			ns.rel = newSeqLane(ns, ns.tr.Send, kindAck, ns.postWire)
 		}
 		if j.metrics != nil {
 			ns.met = newNodeMetrics(j.metrics)

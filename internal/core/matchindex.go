@@ -34,8 +34,8 @@ type matcher interface {
 	takeSendTo(dst int) *request
 	addRecv(req *request)
 	takeRecvFor(src, dst int) *request
-	addUnexpected(in *inbound)
-	takeUnexpectedFor(src, dst int) *inbound
+	addUnexpected(in *frame)
+	takeUnexpectedFor(src, dst int) *frame
 	depth() int
 	peakDepth() int
 }
@@ -102,7 +102,7 @@ type sendEntry struct {
 
 // inEntry is one unexpected inbound message, shared the same way.
 type inEntry struct {
-	in      *inbound
+	in      *frame
 	matched bool
 }
 
@@ -258,7 +258,7 @@ func (mi *matchIndex) takeRecvFor(src, dst int) *request {
 }
 
 // addUnexpected queues an inbound wire message with no posted receive.
-func (mi *matchIndex) addUnexpected(in *inbound) {
+func (mi *matchIndex) addUnexpected(in *frame) {
 	e := &inEntry{in: in}
 	k := pairKey{src: in.src, dst: in.dst}
 	qp := mi.unexpByPair[k]
@@ -279,7 +279,7 @@ func (mi *matchIndex) addUnexpected(in *inbound) {
 
 // takeUnexpectedFor removes and returns the oldest unexpected inbound
 // message a receive posted at dst for src (or AnySource) matches, or nil.
-func (mi *matchIndex) takeUnexpectedFor(src, dst int) *inbound {
+func (mi *matchIndex) takeUnexpectedFor(src, dst int) *frame {
 	var q *ring[*inEntry]
 	if src == AnySource {
 		q = mi.unexpByDst[dst]

@@ -80,11 +80,11 @@ func (lm *linearMatcher) inbound(id, src, dst int) (matched int) {
 type indexMatcher struct {
 	idx   *matchIndex
 	reqID map[*request]int
-	inID  map[*inbound]int
+	inID  map[*frame]int
 }
 
 func newIndexMatcher() *indexMatcher {
-	return &indexMatcher{idx: newMatchIndex(), reqID: map[*request]int{}, inID: map[*inbound]int{}}
+	return &indexMatcher{idx: newMatchIndex(), reqID: map[*request]int{}, inID: map[*frame]int{}}
 }
 
 func (im *indexMatcher) send(id, src, dst int) (matched int) {
@@ -124,7 +124,7 @@ func (im *indexMatcher) inbound(id, src, dst int) (matched int) {
 	if rr := im.idx.takeRecvFor(src, dst); rr != nil {
 		return im.reqID[rr]
 	}
-	in := &inbound{src: src, dst: dst}
+	in := &frame{src: src, dst: dst}
 	im.inID[in] = id
 	im.idx.addUnexpected(in)
 	return -1
@@ -240,8 +240,8 @@ func TestMatchIndexTombstones(t *testing.T) {
 
 	// Same for unexpected inbound: taken via the pair queue, invisible to
 	// the AnySource path.
-	i1 := &inbound{src: 1, dst: 0}
-	i2 := &inbound{src: 2, dst: 0}
+	i1 := &frame{src: 1, dst: 0}
+	i2 := &frame{src: 2, dst: 0}
 	idx.addUnexpected(i1)
 	idx.addUnexpected(i2)
 	if got := idx.takeUnexpectedFor(1, 0); got != i1 {

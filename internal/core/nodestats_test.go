@@ -72,12 +72,13 @@ func TestReportNodeStats(t *testing.T) {
 // TestReportAggregatesMatchNodeSums is the report invariant: every
 // job-level aggregate must equal the sum of its per-node entries, and the
 // intake split must tile the handled stream (LocalRequests + WireMessages
-// == RequestsHandled) node by node. The run uses a lossy reliable wire so
-// the reliability counters are all nonzero — summing zeros proves
-// nothing.
+// == RequestsHandled) node by node. The run uses a lossy reliable wire
+// with one corrupted frame so the reliability and decode-error counters
+// are all nonzero — summing zeros proves nothing.
 func TestReportAggregatesMatchNodeSums(t *testing.T) {
 	cfg := cpuOnlyConfig(3, 2)
 	cfg.Faults = faults.Config{Seed: 17, Drop: 0.15, Dup: 0.05}
+	cfg.WrapTransport = corruptFirstDataHook()
 	job := NewJob(cfg)
 	job.SetCPUKernel(func(c *CPUCtx) {
 		buf := make([]byte, 256)
@@ -107,9 +108,9 @@ func TestReportAggregatesMatchNodeSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Retransmits == 0 || rep.AcksSent == 0 || rep.AcksReceived == 0 {
-		t.Fatalf("lossy run produced no reliability traffic (retransmits=%d acks=%d/%d); invariant test proves nothing",
-			rep.Retransmits, rep.AcksSent, rep.AcksReceived)
+	if rep.Retransmits == 0 || rep.AcksSent == 0 || rep.AcksReceived == 0 || rep.DecodeErrors == 0 {
+		t.Fatalf("lossy run produced no reliability traffic (retransmits=%d acks=%d/%d decode-errors=%d); invariant test proves nothing",
+			rep.Retransmits, rep.AcksSent, rep.AcksReceived, rep.DecodeErrors)
 	}
 
 	var sums NodeStats
@@ -124,6 +125,7 @@ func TestReportAggregatesMatchNodeSums(t *testing.T) {
 		sums.DupWireFrames += st.DupWireFrames
 		sums.AcksSent += st.AcksSent
 		sums.AcksReceived += st.AcksReceived
+		sums.DecodeErrors += st.DecodeErrors
 		sums.CollRetries += st.CollRetries
 		faultSum.FaultsInjected = faultSum.FaultsInjected.Plus(st.Faults)
 		requests += st.RequestsHandled
@@ -139,6 +141,9 @@ func TestReportAggregatesMatchNodeSums(t *testing.T) {
 	}
 	if sums.AcksReceived != rep.AcksReceived {
 		t.Errorf("node acks-received sum %d != aggregate %d", sums.AcksReceived, rep.AcksReceived)
+	}
+	if sums.DecodeErrors != rep.DecodeErrors {
+		t.Errorf("node decode-error sum %d != aggregate %d", sums.DecodeErrors, rep.DecodeErrors)
 	}
 	if sums.CollRetries != rep.CollRetries {
 		t.Errorf("node coll-retry sum %d != aggregate %d", sums.CollRetries, rep.CollRetries)

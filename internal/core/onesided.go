@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -51,124 +50,6 @@ import (
 // Config.OneSided.
 const osErrNotEnabled = "dcgn: one-sided operation without Config.OneSided (enable the lane in the job config)"
 
-// One-sided frame kinds.
-const (
-	osPut      = 1 // apply payload into the target window
-	osGetReq   = 2 // read aux bytes from the target window, reply with osGetRep
-	osGetRep   = 3 // get reply: payload for the requester's pending token
-	osAck      = 4 // one-sided-lane ack (reliability); src is the acking NODE
-	osAccum    = 5 // element-wise atomic update into the target window (aux = op)
-	osFetchReq = 6 // atomic fetch-and-op on one int64 (aux = op, payload = operand)
-	osFetchRep = 7 // fetch-and-op reply: prior value for the pending token
-)
-
-// osFlagTrunc marks a get reply whose payload was clipped to the window.
-const osFlagTrunc = 1
-
-// osHeaderLen is the fixed one-sided frame header:
-//
-//	0  u32 kind      8  i64 src rank   24 u32 win      32 u64 offset
-//	4  u32 flags     16 i64 dst rank   28 u32 token    40 u64 payload len
-//	48 u64 seq       56 i64 posted-at (origin clock, ns)   64 u64 aux
-//
-// aux carries the requested byte count of a get (whose request frame has
-// no payload). posted-at feeds the remote-completion histogram: virtual
-// clocks are global on the simulated backend, so target-minus-origin is
-// exact there and best-effort on the live backend.
-//
-// With Config.Flows on, the flow context (trace ID u64, span ID u64)
-// follows at [72, 88) and the payload moves to offset 88.
-const osHeaderLen = 72
-
-// osLen returns the one-sided header length for the frame layout in use.
-func osLen(flows bool) int {
-	if flows {
-		return osHeaderLen + flowCtxLen
-	}
-	return osHeaderLen
-}
-
-// osFrame is one parsed one-sided frame; payload aliases backing, which
-// the consumer returns to the pool after the frame is applied.
-type osFrame struct {
-	kind     int
-	flags    uint32
-	src, dst int
-	win      int
-	token    uint32
-	offset   int
-	seq      uint64
-	postedNs int64
-	aux      uint64
-	payload  []byte
-	backing  []byte
-	// traceID and spanID are the flow context (Config.Flows): the causal
-	// flow this frame belongs to and the origin operation's span, which
-	// the target's apply span parents itself on. Zero with flows off.
-	traceID uint64
-	spanID  uint64
-}
-
-// packOSFrame builds a one-sided frame in a pooled buffer, in the
-// flows-on layout when Config.Flows is set.
-func (ns *nodeState) packOSFrame(f *osFrame) []byte {
-	hdr := osLen(ns.flowsOn)
-	msg := ns.job.pool.Get(hdr + len(f.payload))
-	le := binary.LittleEndian
-	le.PutUint32(msg[0:], uint32(f.kind))
-	le.PutUint32(msg[4:], f.flags)
-	le.PutUint64(msg[8:], uint64(int64(f.src)))
-	le.PutUint64(msg[16:], uint64(int64(f.dst)))
-	le.PutUint32(msg[24:], uint32(f.win))
-	le.PutUint32(msg[28:], f.token)
-	le.PutUint64(msg[32:], uint64(int64(f.offset)))
-	le.PutUint64(msg[40:], uint64(len(f.payload)))
-	le.PutUint64(msg[48:], f.seq)
-	le.PutUint64(msg[56:], uint64(f.postedNs))
-	le.PutUint64(msg[64:], f.aux)
-	if ns.flowsOn {
-		le.PutUint64(msg[72:], f.traceID)
-		le.PutUint64(msg[80:], f.spanID)
-	}
-	copy(msg[hdr:], f.payload)
-	return msg
-}
-
-// unpackOSFrame parses a one-sided frame; the payload aliases msg.
-func unpackOSFrame(msg []byte, flows bool) (*osFrame, error) {
-	hdr := osLen(flows)
-	if len(msg) < hdr {
-		return nil, fmt.Errorf("core: short one-sided frame (%d bytes)", len(msg))
-	}
-	le := binary.LittleEndian
-	f := &osFrame{
-		kind:     int(le.Uint32(msg[0:])),
-		flags:    le.Uint32(msg[4:]),
-		src:      int(int64(le.Uint64(msg[8:]))),
-		dst:      int(int64(le.Uint64(msg[16:]))),
-		win:      int(le.Uint32(msg[24:])),
-		token:    le.Uint32(msg[28:]),
-		offset:   int(int64(le.Uint64(msg[32:]))),
-		seq:      le.Uint64(msg[48:]),
-		postedNs: int64(le.Uint64(msg[56:])),
-		aux:      le.Uint64(msg[64:]),
-		backing:  msg,
-	}
-	if flows {
-		f.traceID = le.Uint64(msg[72:])
-		f.spanID = le.Uint64(msg[80:])
-	}
-	n := int(le.Uint64(msg[40:]))
-	if f.kind < osPut || f.kind > osFetchRep {
-		return nil, fmt.Errorf("core: unknown one-sided frame kind %d", f.kind)
-	}
-	if hdr+n > len(msg) {
-		return nil, fmt.Errorf("core: one-sided frame truncated: header says %d, have %d", n, len(msg)-hdr)
-	}
-	f.payload = msg[hdr : hdr+n]
-	return f, nil
-}
-
 // osWinKey identifies a registered window: the owning rank and the
 // application-chosen window id.
 type osWinKey struct {
@@ -217,12 +98,13 @@ type osGet struct {
 
 // osState is one node's one-sided engine: the window registry, the
 // origin-side get correlation table, and — under Config.Reliability — the
-// lane's own seq/ack bookkeeping (reliable.go), kept separate from the
-// two-sided relState so the two frame streams cannot collide on
-// (node, seq) keys.
+// lane's own seqLane (reliable.go), kept separate from the two-sided one
+// so the two frame streams cannot collide on (node, seq) keys.
 type osState struct {
 	ns *nodeState
 	tr transport.OneSided
+	// rel is the lane's seq/ack state; nil with Reliability off.
+	rel *seqLane
 
 	// mu guards the window registry (registration is rare; lookups copy
 	// the pointer out).
@@ -234,17 +116,6 @@ type osState struct {
 	nextToken uint32
 	gets      map[uint32]*osGet
 
-	// Reliability lane. txMu guards nextTx (seq assignment happens on
-	// whatever proc posts the put — CPU kernel or NIC daemon — unlike the
-	// two-sided lane where the comm thread serializes it); waitMu guards
-	// waiters. nextRx and held are confined to the sink daemon.
-	txMu    sync.Mutex
-	nextTx  []uint64
-	waitMu  sync.Mutex
-	waiters map[relKey]*relWaiter
-	nextRx  []uint64
-	held    []map[uint64]*osFrame
-
 	// Atomic counters surfaced in Report/NodeStats.
 	putsSent  int64
 	getsSent  int64
@@ -253,32 +124,19 @@ type osState struct {
 	truncated int64
 }
 
-func newOSState(ns *nodeState, tr transport.OneSided, nodes int) *osState {
-	held := make([]map[uint64]*osFrame, nodes)
-	for i := range held {
-		held[i] = make(map[uint64]*osFrame)
-	}
-	return &osState{
-		ns:      ns,
-		tr:      tr,
-		windows: make(map[osWinKey]*osWindow),
-		gets:    make(map[uint32]*osGet),
-		nextTx:  make([]uint64, nodes),
-		waiters: make(map[relKey]*relWaiter),
-		nextRx:  make([]uint64, nodes),
-		held:    held,
-	}
-}
-
 // initOneSided discovers the transport's one-sided lane and builds the
 // node's one-sided state. Called from the node builders when
-// Config.OneSided is set, before ns.start() spawns the sink daemon.
+// Config.OneSided is set, after the two-sided lane and before ns.start()
+// spawns the sink daemon.
 func (ns *nodeState) initOneSided() {
 	osT, ok := ns.tr.(transport.OneSided)
 	if !ok {
 		panic(fmt.Sprintf("dcgn: Config.OneSided requires a transport with a one-sided lane, got %T (WrapTransport hooks must forward transport.OneSided)", ns.tr))
 	}
-	ns.osw = newOSState(ns, osT, ns.job.rmap.Nodes())
+	ns.osw = &osState{ns: ns, tr: osT, windows: make(map[osWinKey]*osWindow), gets: make(map[uint32]*osGet)}
+	if ns.rel != nil {
+		ns.osw.rel = newSeqLane(ns, osT.SendOneSided, kindOSAck, ns.osDispatch)
+	}
 }
 
 // osRequire returns the node's one-sided state or panics with guidance.
@@ -443,7 +301,7 @@ func (ns *nodeState) osPutFrom(p transport.Proc, srcRank, dstRank, winID, offset
 		})
 		return nil
 	}
-	f := &osFrame{kind: osPut, src: srcRank, dst: dstRank, win: winID, offset: offset, postedNs: int64(p.Now()), payload: data, traceID: traceID, spanID: spanID}
+	f := &frame{kind: kindPut, src: srcRank, dst: dstRank, win: uint32(winID), offset: offset, postedNs: int64(p.Now()), payload: data, traceID: traceID, spanID: spanID}
 	err := ns.osSendFrame(p, dstNode, f)
 	ns.recordFlowSpan(obs.Span{
 		Op: "put", Node: ns.node, Rank: srcRank, Peer: dstRank, Bytes: len(data),
@@ -494,7 +352,7 @@ func (ns *nodeState) osGetFrom(p transport.Proc, srcRank, dstRank, winID, offset
 	token := osw.nextToken
 	osw.gets[token] = g
 	osw.getMu.Unlock()
-	f := &osFrame{kind: osGetReq, src: srcRank, dst: dstRank, win: winID, token: token, offset: offset, postedNs: int64(p.Now()), aux: uint64(len(dst)), traceID: traceID, spanID: spanID}
+	f := &frame{kind: kindGetReq, src: srcRank, dst: dstRank, win: uint32(winID), token: token, offset: offset, postedNs: int64(p.Now()), aux: uint64(len(dst)), traceID: traceID, spanID: spanID}
 	if err := ns.osSendFrame(p, dstNode, f); err != nil {
 		osw.getMu.Lock()
 		delete(osw.gets, token)
@@ -518,7 +376,7 @@ func (ns *nodeState) osGetFrom(p transport.Proc, srcRank, dstRank, winID, offset
 // or get reply) to dstNode on the one-sided lane, inline on the calling
 // proc. Under Config.Reliability it assigns the lane's next sequence
 // number for the node pair and blocks until acknowledged.
-func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *osFrame) error {
+func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *frame) error {
 	osw := ns.osw
 	if ns.flowsOn && f.spanID == 0 {
 		// Catch-all flow-context assignment for frames whose producer did
@@ -529,18 +387,23 @@ func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *osFrame) erro
 			f.traceID = f.spanID
 		}
 	}
-	if ns.rel == nil {
-		frame := ns.packOSFrame(f)
-		err := osw.tr.SendOneSided(p, dstNode, frame)
-		ns.job.pool.Put(frame)
-		return err
+	msg := ns.job.pool.Get(f.size(ns.flowsOn))
+	err := osw.transmit(p, dstNode, f, msg)
+	ns.job.pool.Put(msg)
+	return err
+}
+
+// transmit marshals f into msg and sends it to dstNode on the calling
+// proc. Under Config.Reliability it first assigns the lane's next
+// sequence number for the node pair, and then blocks until the frame is
+// acknowledged.
+func (osw *osState) transmit(p transport.Proc, dstNode int, f *frame, msg []byte) error {
+	flows := osw.ns.flowsOn
+	if osw.rel == nil {
+		return osw.tr.SendOneSided(p, dstNode, f.marshal(msg, flows))
 	}
-	osw.txMu.Lock()
-	f.seq = osw.nextTx[dstNode]
-	osw.nextTx[dstNode]++
-	osw.txMu.Unlock()
-	frame := ns.packOSFrame(f)
-	return ns.osSendReliable(p, dstNode, f.seq, frame)
+	f.seq = osw.rel.assign(dstNode)
+	return osw.rel.sendAwait(p, nil, dstNode, f.seq, f.marshal(msg, flows))
 }
 
 // runOneSidedReceiver is the node's one-sided sink daemon: it drains the
@@ -548,59 +411,66 @@ func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *osFrame) erro
 // the progress engine's intake/matcher layers never see this traffic.
 func (ns *nodeState) runOneSidedReceiver(p transport.Proc) {
 	osw := ns.osw
+	deliver := ns.osDispatch
+	if osw.rel != nil {
+		deliver = osw.rel.recv
+	}
 	for {
 		raw, err := osw.tr.RecvOneSided(p)
 		if err != nil {
 			if errors.Is(err, transport.ErrClosed) {
-				osw.releaseHeld(ns.job)
+				if osw.rel != nil {
+					osw.rel.releaseHeld()
+				}
 				return // transport shut down (live backend teardown)
 			}
 			panic(fmt.Sprintf("dcgn: one-sided receiver on node %d: %v", ns.node, err))
 		}
-		f, err := unpackOSFrame(raw, ns.flowsOn)
+		f, err := unmarshal(raw, laneOneSided, ns.flowsOn)
 		if err != nil {
-			panic(fmt.Sprintf("dcgn: one-sided receiver on node %d: %v", ns.node, err))
-		}
-		if ns.rel != nil {
-			ns.osRecvReliable(p, f)
+			ns.dropFrame(raw)
 			continue
 		}
-		ns.osDispatch(p, f)
+		deliver(p, f)
 	}
 }
 
 // osDispatch applies one in-order data-class frame and releases its
-// backing buffer.
-func (ns *nodeState) osDispatch(p transport.Proc, f *osFrame) {
+// backing buffer. An ack reaching it (Reliability off at this end) or a
+// fetch-and-op without its operand is malformed traffic, dropped like a
+// frame that failed to parse.
+func (ns *nodeState) osDispatch(p transport.Proc, f frame) {
+	if f.kind == kindOSAck || (f.kind == kindFetchReq && len(f.payload) < 8) {
+		ns.dropFrame(f.backing)
+		return
+	}
 	switch f.kind {
-	case osPut:
-		ns.osApplyPut(p, f)
-	case osGetReq:
-		ns.osApplyGetReq(p, f)
-	case osGetRep, osFetchRep:
+	case kindPut:
+		ns.osApplyPut(p, &f)
+	case kindGetReq:
+		ns.osApplyGetReq(p, &f)
+	case kindGetRep, kindFetchRep:
 		// A fetch reply resolves its pending token exactly like a get
 		// reply: the payload (the prior value) lands in the waiter's
 		// 8-byte destination buffer.
-		ns.osApplyGetRep(p, f)
-	case osAccum:
-		ns.osApplyAccum(p, f)
-	case osFetchReq:
-		ns.osApplyFetchReq(p, f)
-	default:
-		panic(fmt.Sprintf("dcgn: one-sided sink on node %d: unexpected frame kind %d", ns.node, f.kind))
+		ns.osApplyGetRep(p, &f)
+	case kindAccum:
+		ns.osApplyAccum(p, &f)
+	case kindFetchReq:
+		ns.osApplyFetchReq(p, &f)
 	}
 	ns.job.pool.Put(f.backing)
 }
 
 // osApplyPut lands one put in its target window and counts the remote
 // completion.
-func (ns *nodeState) osApplyPut(p transport.Proc, f *osFrame) {
+func (ns *nodeState) osApplyPut(p transport.Proc, f *frame) {
 	osw := ns.osw
 	var post time.Duration
 	if ns.flowsOn {
 		post = p.Now()
 	}
-	w := osw.window(f.dst, f.win)
+	w := osw.window(f.dst, int(f.win))
 	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
 	_, clipped := ns.writeWindow(p, w, f.offset, f.payload)
 	atomic.AddInt64(&osw.applied, 1)
@@ -626,17 +496,17 @@ func (ns *nodeState) osApplyPut(p transport.Proc, f *osFrame) {
 
 // osApplyGetReq serves one get request: read the window, then reply from
 // a spawned helper so the sink daemon never blocks in a transport send.
-func (ns *nodeState) osApplyGetReq(p transport.Proc, f *osFrame) {
+func (ns *nodeState) osApplyGetReq(p transport.Proc, f *frame) {
 	osw := ns.osw
 	var post time.Duration
 	if ns.flowsOn {
 		post = p.Now()
 	}
-	w := osw.window(f.dst, f.win)
+	w := osw.window(f.dst, int(f.win))
 	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
 	buf, clipped := ns.readWindow(p, w, f.offset, int(f.aux))
 	atomic.AddInt64(&osw.applied, 1)
-	rep := &osFrame{kind: osGetRep, src: f.dst, dst: f.src, win: f.win, token: f.token, postedNs: f.postedNs, payload: buf}
+	rep := &frame{kind: kindGetRep, src: f.dst, dst: f.src, win: f.win, token: f.token, postedNs: f.postedNs, payload: buf}
 	if ns.flowsOn && f.spanID != 0 {
 		// The reply joins the requesting get's flow; its own span (minted
 		// for the serving rank) parents on the request and is recorded as
@@ -650,7 +520,7 @@ func (ns *nodeState) osApplyGetReq(p transport.Proc, f *osFrame) {
 		})
 	}
 	if clipped {
-		rep.flags = osFlagTrunc
+		rep.flags = flagTrunc
 	}
 	srcNode := ns.job.rmap.Node(f.src)
 	ns.rt.SpawnID("os-getrep", ns.node, func(h transport.Proc) {
@@ -662,7 +532,7 @@ func (ns *nodeState) osApplyGetReq(p transport.Proc, f *osFrame) {
 }
 
 // osApplyGetRep resolves one pending get with its reply payload.
-func (ns *nodeState) osApplyGetRep(p transport.Proc, f *osFrame) {
+func (ns *nodeState) osApplyGetRep(p transport.Proc, f *frame) {
 	osw := ns.osw
 	osw.getMu.Lock()
 	g := osw.gets[f.token]
@@ -675,7 +545,7 @@ func (ns *nodeState) osApplyGetRep(p transport.Proc, f *osFrame) {
 	}
 	n := copy(g.dst, f.payload)
 	g.status = CommStatus{Source: f.src, Bytes: n}
-	if f.flags&osFlagTrunc != 0 {
+	if f.flags&flagTrunc != 0 {
 		g.err = ErrTruncate
 	}
 	if ns.met != nil {
@@ -684,17 +554,6 @@ func (ns *nodeState) osApplyGetRep(p transport.Proc, f *osFrame) {
 		}
 	}
 	g.done.Fire()
-}
-
-// releaseHeld returns parked out-of-order one-sided frames to the pool on
-// teardown.
-func (osw *osState) releaseHeld(j *Job) {
-	for _, m := range osw.held {
-		for seq, f := range m {
-			j.pool.Put(f.backing)
-			delete(m, seq)
-		}
-	}
 }
 
 // --- CPU-kernel one-sided API -------------------------------------------
@@ -737,37 +596,37 @@ func (c *CPUCtx) WinStats(winID int) WinStats {
 }
 
 // PersistentPut is a registered ("register once, fire many times")
-// one-sided put: the frame is packed at creation and every Start only
-// refreshes the payload bytes, sequence number and timestamp in place —
-// no per-fire descriptor building or pool churn, the CPU-side analogue of
-// a persistent MPI request. One Start at a time per handle.
+// one-sided put: the frame and its wire buffer are built at creation and
+// every Start only refreshes the payload bytes, sequence number and
+// timestamp in place — no per-fire descriptor building or pool churn, the
+// CPU-side analogue of a persistent MPI request. One Start at a time per
+// handle.
 type PersistentPut struct {
 	c       *CPUCtx
 	dstNode int
-	frame   []byte
-	data    []byte
+	f       frame  // the put; its payload is the caller's data slice
+	msg     []byte // pooled wire buffer, re-marshalled by every Start
 }
 
 // NewPersistentPut registers a persistent put of data into window winID
 // of rank dst at offset. The data slice is re-read at every Start, so the
 // kernel can update it in place between fires.
 func (c *CPUCtx) NewPersistentPut(dst, winID, offset int, data []byte) *PersistentPut {
-	osw := c.ns.osRequire()
-	_ = osw
-	f := &osFrame{kind: osPut, src: c.rank, dst: dst, win: winID, offset: offset, payload: data}
-	if c.ns.flowsOn {
-		// A persistent handle is one flow: every fire (and every
-		// retransmission) carries the context packed here, so the target's
-		// apply spans all stitch onto it.
-		f.spanID = c.ns.job.trace.newSpanID(c.rank)
-		f.traceID = f.spanID
-	}
-	return &PersistentPut{
+	c.ns.osRequire()
+	pp := &PersistentPut{
 		c:       c,
 		dstNode: c.ns.job.rmap.Node(dst),
-		frame:   c.ns.packOSFrame(f),
-		data:    data,
+		f:       frame{kind: kindPut, src: c.rank, dst: dst, win: uint32(winID), offset: offset, payload: data},
 	}
+	if c.ns.flowsOn {
+		// A persistent handle is one flow: every fire (and every
+		// retransmission) carries the context set here, so the target's
+		// apply spans all stitch onto it.
+		pp.f.spanID = c.ns.job.trace.newSpanID(c.rank)
+		pp.f.traceID = pp.f.spanID
+	}
+	pp.msg = c.ns.pack(&pp.f)
+	return pp
 }
 
 // Start fires the persistent put once, blocking like Put (acknowledged
@@ -777,20 +636,16 @@ func (pp *PersistentPut) Start() error {
 	ns := c.ns
 	osw := ns.osw
 	p := c.tp
+	f := &pp.f
 	p.SleepJit(ns.job.cfg.Params.DoorbellCost)
 	atomic.AddInt64(&osw.putsSent, 1)
 	if ns.met != nil {
 		ns.met.osPuts.Add(1)
 	}
-	le := binary.LittleEndian
 	if pp.dstNode == ns.node {
-		f, err := unpackOSFrame(pp.frame, ns.flowsOn)
-		if err != nil {
-			panic(fmt.Sprintf("dcgn: persistent put frame corrupt: %v", err))
-		}
-		w := osw.window(f.dst, f.win)
+		w := osw.window(f.dst, int(f.win))
 		p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-		_, clipped := ns.writeWindow(p, w, f.offset, pp.data)
+		_, clipped := ns.writeWindow(p, w, f.offset, f.payload)
 		atomic.AddInt64(&osw.applied, 1)
 		if clipped {
 			atomic.AddInt64(&osw.truncated, 1)
@@ -798,21 +653,12 @@ func (pp *PersistentPut) Start() error {
 		w.arrive(clipped)
 		return nil
 	}
-	copy(pp.frame[osLen(ns.flowsOn):], pp.data)
-	le.PutUint64(pp.frame[56:], uint64(int64(p.Now())))
-	if ns.rel == nil {
-		return osw.tr.SendOneSided(p, pp.dstNode, pp.frame)
-	}
-	osw.txMu.Lock()
-	seq := osw.nextTx[pp.dstNode]
-	osw.nextTx[pp.dstNode]++
-	osw.txMu.Unlock()
-	le.PutUint64(pp.frame[48:], seq)
-	return ns.osSendReliablePersistent(p, pp.dstNode, seq, pp.frame)
+	f.postedNs = int64(p.Now())
+	return osw.transmit(p, pp.dstNode, f, pp.msg)
 }
 
-// Free releases the handle's pre-packed frame back to the pool.
+// Free releases the handle's wire buffer back to the pool.
 func (pp *PersistentPut) Free() {
-	pp.c.ns.job.pool.Put(pp.frame)
-	pp.frame = nil
+	pp.c.ns.job.pool.Put(pp.msg)
+	pp.msg = nil
 }

@@ -9,7 +9,7 @@ import (
 	"dcgn/internal/transport/faults"
 )
 
-// One-sided chaos differential: the lane has its own sequence/ack space
+// One-sided chaos differential: the lane has its own seqLane
 // (reliable.go), and this suite proves it delivers the same bytes whatever
 // the wire does. Each origin rank fires a seeded schedule of puts —
 // dynamic and persistent — into its own disjoint region of rank 0's
@@ -74,7 +74,7 @@ func runOneSidedChaosInner(t *testing.T, cfg Config) (Report, []byte) {
 		if c.Rank() != 0 {
 			base := (c.Rank() - 1) * osChaosRegion
 			// First half dynamic puts, second half a persistent handle —
-			// both reliable paths (osSendReliable / ...Persistent) see
+			// both send paths (osSendFrame and PersistentPut.Start) see
 			// faults.
 			data := make([]byte, osChaosRegion)
 			for i := 0; i < rounds/2; i++ {

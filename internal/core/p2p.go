@@ -54,29 +54,29 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 	ns.observe(p, req)
 	dstNode := ns.job.rmap.Node(req.peer)
 	if dstNode != ns.node {
+		kind, seq := kindMsg, uint64(0)
 		if ns.rel != nil {
 			// Reliable path: sequence numbers are assigned here, on the comm
 			// thread, so per-destination ordering is fixed before concurrent
 			// tx helpers race to the transport; the receiver resequences by
 			// these numbers and FIFO matching survives any wire order.
-			seq := ns.rel.nextTx[dstNode]
-			ns.rel.nextTx[dstNode]++
-			msg := packRelData(ns.job.pool, req.rank, req.peer, seq, req.buf, ns.flowsOn, req.traceID, req.spanID)
-			ns.rt.SpawnID("dcgn-tx", ns.node, func(h transport.Proc) {
-				ns.sendReliable(h, req, dstNode, seq, msg)
-			})
-			return
+			kind, seq = kindData, ns.rel.assign(dstNode)
 		}
 		// Remote: a helper performs the (possibly rendezvous) transport send
 		// so the comm thread keeps draining its queue; completion is signaled
 		// when the underlying send completes, as in the paper's dataflow
 		// (Fig. 2, steps 2-3).
-		msg := packWire(ns.job.pool, req.rank, req.peer, req.buf, ns.flowsOn, req.traceID, req.spanID)
+		msg := ns.pack(&frame{kind: kind, src: req.rank, dst: req.peer, seq: seq, payload: req.buf, traceID: req.traceID, spanID: req.spanID})
 		ns.rt.SpawnID("dcgn-tx", ns.node, func(h transport.Proc) {
 			h.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
-			err := ns.tr.Send(h, dstNode, msg)
-			if ns.obsOn {
-				req.wireSentAt = h.Now()
+			var err error
+			if ns.rel != nil {
+				err = ns.rel.sendAwait(h, req, dstNode, seq, msg)
+			} else {
+				err = ns.tr.Send(h, dstNode, msg)
+				if ns.obsOn {
+					req.wireSentAt = h.Now()
+				}
 			}
 			// Send has buffered semantics (eager copy or rendezvous
 			// snapshot), so the wire buffer is ours again once it returns.
@@ -133,7 +133,7 @@ func (ns *nodeState) handleRecv(p transport.Proc, req *request) {
 }
 
 // handleInbound matches a wire message against posted receives.
-func (ns *nodeState) handleInbound(p transport.Proc, in *inbound) {
+func (ns *nodeState) handleInbound(p transport.Proc, in *frame) {
 	if rr := ns.index.takeRecvFor(in.src, in.dst); rr != nil {
 		ns.matched(p, nil, rr)
 		ns.deliverInbound(p, in, rr, false)
@@ -204,8 +204,8 @@ func (ns *nodeState) deliverLocal(p transport.Proc, send, recv *request) {
 // pre-posted receive is delivered without a staging copy (the underlying
 // MPI lands data in the matched buffer); only messages that sat in the
 // unexpected queue pay the memcpy.
-func (ns *nodeState) deliverInbound(p transport.Proc, in *inbound, recv *request, wasUnexpected bool) {
-	n := len(in.data)
+func (ns *nodeState) deliverInbound(p transport.Proc, in *frame, recv *request, wasUnexpected bool) {
+	n := len(in.payload)
 	var err error
 	if n > len(recv.buf) {
 		n = len(recv.buf)
@@ -214,7 +214,7 @@ func (ns *nodeState) deliverInbound(p transport.Proc, in *inbound, recv *request
 	if wasUnexpected {
 		ns.chargeMemcpy(p, n)
 	}
-	copy(recv.buf[:n], in.data[:n])
+	copy(recv.buf[:n], in.payload[:n])
 	if ns.flowsOn && in.spanID != 0 {
 		// Stitch: the receive joins the flow carried in the wire header.
 		recv.traceID = in.traceID
@@ -222,7 +222,7 @@ func (ns *nodeState) deliverInbound(p transport.Proc, in *inbound, recv *request
 	}
 	if in.backing != nil {
 		ns.job.pool.Put(in.backing)
-		in.backing, in.data = nil, nil
+		in.backing, in.payload = nil, nil
 	}
 	p.SleepJit(ns.job.cfg.Params.NotifyCost)
 	recv.complete(in.src, n, err)

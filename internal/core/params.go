@@ -35,9 +35,9 @@ import (
 // Reliability configures the engine's wire-level reliability layer
 // (reliable.go): sequence numbers on every wire frame, receiver-side
 // dedup/resequencing, and sender-side ack/timeout/retransmit with capped
-// exponential backoff. Off by default — the legacy wire format is
-// byte-identical to PR 3 and the golden determinism suite pins it — and
-// auto-enabled whenever Config.Faults can drop or reorder wire messages,
+// exponential backoff. Off by default — two-sided frames then carry the
+// plain 24-byte header (frame.go), which the golden determinism suite
+// pins — and auto-enabled whenever Config.Faults can drop or reorder wire messages,
 // because an unreliable engine deadlocks on the first lost packet.
 type Reliability struct {
 	// Enabled switches every wire frame to the sequenced format and turns
@@ -171,7 +171,7 @@ type Config struct {
 	Faults faults.Config
 
 	// Reliability configures the wire-level ack/retransmit layer; see the
-	// Reliability type. Zero value = off (legacy wire format).
+	// Reliability type. Zero value = off (plain 24-byte two-sided frames).
 	Reliability Reliability
 
 	// OneSided enables the one-sided communication lane: window

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dcgn/internal/bufpool"
 	"dcgn/internal/transport"
 )
 
@@ -21,99 +19,16 @@ import (
 // FIFO-per-(source, destination) matching semantics survive drops,
 // duplicates and reordering unchanged.
 //
-// The layer is strictly opt-in: with Reliability.Enabled false the engine
-// speaks the legacy 24-byte wire format of PR 3, byte-identical, which the
-// golden determinism suite pins.
+// One seqLane type runs this machinery, and each wire lane gets its own
+// instance: the two-sided lane (nodeState.rel) and the one-sided lane
+// (osState.rel). The two sequence spaces stay separate, so numbering the
+// lanes jointly can never couple their FIFOs or reintroduce the
+// comm-thread serialization the one-sided lane exists to avoid.
 
 // ErrUnacked is reported by a send whose wire frame was never acknowledged
 // within Reliability.MaxRetries retransmissions — the reliability layer's
 // "the peer is unreachable" verdict.
 var ErrUnacked = errors.New("dcgn: send unacknowledged after retries")
-
-// Sequenced wire format: the legacy header (src rank, dst rank, payload
-// len — request.go) extended with a sequence number and a frame kind.
-const (
-	relHeaderLen = wireHeaderLen + 16
-
-	relKindData = 1 // sequenced payload frame; src/dst are virtual ranks
-	relKindAck  = 2 // acknowledgment; src is the acking NODE id, no payload
-)
-
-// relLen returns the sequenced data-frame header length: the flow
-// context, when on, sits after the frame kind so acks (which never
-// carry it) still parse at the fixed legacy offsets.
-func relLen(flows bool) int {
-	if flows {
-		return relHeaderLen + flowCtxLen
-	}
-	return relHeaderLen
-}
-
-// packRelData builds a sequenced data frame in a pooled buffer. With
-// flows on the header carries the sending request's flow context;
-// retransmissions resend these exact bytes, so a retried frame keeps
-// its original trace ID by construction.
-func packRelData(pool *bufpool.Pool, src, dst int, seq uint64, payload []byte, flows bool, traceID, spanID uint64) []byte {
-	hdr := relLen(flows)
-	msg := pool.Get(hdr + len(payload))
-	le := binary.LittleEndian
-	le.PutUint64(msg[0:], uint64(int64(src)))
-	le.PutUint64(msg[8:], uint64(int64(dst)))
-	le.PutUint64(msg[16:], uint64(len(payload)))
-	le.PutUint64(msg[24:], seq)
-	le.PutUint64(msg[32:], relKindData)
-	if flows {
-		le.PutUint64(msg[40:], traceID)
-		le.PutUint64(msg[48:], spanID)
-	}
-	copy(msg[hdr:], payload)
-	return msg
-}
-
-// packRelAck builds an ack frame for seq, identifying the acking node in
-// the src field (ranks don't matter to the sender's waiter bookkeeping;
-// the node pair does).
-func packRelAck(pool *bufpool.Pool, ackerNode int, seq uint64) []byte {
-	msg := pool.Get(relHeaderLen)
-	le := binary.LittleEndian
-	le.PutUint64(msg[0:], uint64(int64(ackerNode)))
-	le.PutUint64(msg[8:], 0)
-	le.PutUint64(msg[16:], 0)
-	le.PutUint64(msg[24:], seq)
-	le.PutUint64(msg[32:], relKindAck)
-	return msg
-}
-
-// unpackRel splits a sequenced frame. The returned payload aliases msg;
-// traceID/spanID are the carried flow context (zero on acks and with
-// flows off).
-func unpackRel(msg []byte, flows bool) (kind int, src, dst int, seq uint64, payload []byte, traceID, spanID uint64, err error) {
-	if len(msg) < relHeaderLen {
-		return 0, 0, 0, 0, nil, 0, 0, fmt.Errorf("core: short sequenced frame (%d bytes)", len(msg))
-	}
-	le := binary.LittleEndian
-	src = int(int64(le.Uint64(msg[0:])))
-	dst = int(int64(le.Uint64(msg[8:])))
-	n := int(le.Uint64(msg[16:]))
-	seq = le.Uint64(msg[24:])
-	kind = int(le.Uint64(msg[32:]))
-	if kind != relKindData && kind != relKindAck {
-		return 0, 0, 0, 0, nil, 0, 0, fmt.Errorf("core: unknown frame kind %d", kind)
-	}
-	hdr := relHeaderLen
-	if flows && kind == relKindData {
-		hdr = relLen(true)
-		if len(msg) < hdr {
-			return 0, 0, 0, 0, nil, 0, 0, fmt.Errorf("core: short sequenced flow frame (%d bytes)", len(msg))
-		}
-		traceID = le.Uint64(msg[40:])
-		spanID = le.Uint64(msg[48:])
-	}
-	if hdr+n > len(msg) {
-		return 0, 0, 0, 0, nil, 0, 0, fmt.Errorf("core: sequenced frame truncated: header says %d, have %d", n, len(msg)-hdr)
-	}
-	return kind, src, dst, seq, msg[hdr : hdr+n], traceID, spanID, nil
-}
 
 // relKey identifies one in-flight frame: the peer node and the sequence
 // number on that node pair.
@@ -123,33 +38,44 @@ type relKey struct {
 }
 
 // relWaiter is a sender-side record of an unacknowledged frame. ev is the
-// completion the tx helper currently waits on (re-created per retry); the
-// ack path and the retransmit timer both fire it, and acked — read and
-// written only under relState.mu — disambiguates which happened.
+// completion the sending proc currently waits on (re-created per retry);
+// the ack path and the retransmit timer both fire it, and acked — read and
+// written only under seqLane.mu — disambiguates which happened.
 type relWaiter struct {
 	ev    completion
 	acked bool
 }
 
-// relState is one node's reliability bookkeeping. Ownership is split by
+// seqLane is one lane's seq/ack state on one node. Ownership is split by
 // thread, mirroring the engine's confinement rules:
 //
-//   - nextTx is touched only by the comm thread (handleSend), which
-//     serializes sequence assignment per destination;
-//   - nextRx and held are touched only by the receiver helper
-//     (runReceiver → recvReliable);
-//   - waiters is shared between tx helpers, the ack path and timers,
-//     guarded by mu. mu is never held across a blocking operation — on the
-//     simulated backend a proc parking with a sync.Mutex held would wedge
-//     the cooperative scheduler (completion.Fire does not block; Wait does
-//     and is always called unlocked).
-type relState struct {
+//   - nextTx is guarded by txMu: the two-sided lane assigns sequence
+//     numbers on the comm thread, but one-sided frames are posted by CPU
+//     kernels, persistent puts and the NIC daemons alike;
+//   - nextRx and held are touched only by the lane's receiving daemon;
+//   - waiters is shared between sending procs, the ack path and timers,
+//     guarded by mu. No lock is ever held across a blocking operation — on
+//     the simulated backend a proc parking with a sync.Mutex held would
+//     wedge the cooperative scheduler (completion.Fire does not block;
+//     Wait does and is always called unlocked).
+type seqLane struct {
+	ns *nodeState
+	// send is the lane's transport send; ackKind the kind its acks carry.
+	send    func(p transport.Proc, dstNode int, msg []byte) error
+	ackKind frameKind
+	// what names the lane in errors; waitName and ackName label its
+	// waiter events and ack helpers.
+	what, waitName, ackName string
+
+	txMu   sync.Mutex
+	nextTx []uint64 // per dst node: next sequence to assign
+
 	mu      sync.Mutex
 	waiters map[relKey]*relWaiter
 
-	nextTx []uint64              // per dst node: next sequence to assign
-	nextRx []uint64              // per src node: next sequence to deliver
-	held   []map[uint64]*inbound // per src node: out-of-order frames parked
+	nextRx  []uint64                    // per src node: next sequence to deliver
+	held    []map[uint64]*frame         // per src node: out-of-order frames parked
+	deliver func(transport.Proc, frame) // hands one in-order frame on
 
 	retransmits  int64
 	dupFrames    int64
@@ -157,29 +83,45 @@ type relState struct {
 	acksReceived int64
 }
 
-func newRelState(nodes int) *relState {
-	held := make([]map[uint64]*inbound, nodes)
+// newSeqLane builds one lane's seq/ack state on node ns.
+func newSeqLane(ns *nodeState, send func(transport.Proc, int, []byte) error, ackKind frameKind, deliver func(transport.Proc, frame)) *seqLane {
+	nodes := ns.job.cfg.Nodes
+	held := make([]map[uint64]*frame, nodes)
 	for i := range held {
-		held[i] = make(map[uint64]*inbound)
+		held[i] = make(map[uint64]*frame)
 	}
-	return &relState{
-		waiters: make(map[relKey]*relWaiter),
+	l := &seqLane{
+		ns: ns, send: send, ackKind: ackKind, deliver: deliver,
+		what: "seq", waitName: "rel-wait", ackName: "dcgn-ack",
 		nextTx:  make([]uint64, nodes),
+		waiters: make(map[relKey]*relWaiter),
 		nextRx:  make([]uint64, nodes),
 		held:    held,
 	}
+	if ackKind == kindOSAck {
+		l.what, l.waitName, l.ackName = "one-sided seq", "os-wait", "os-ack"
+	}
+	return l
 }
 
-// ackArrived resolves the waiter for (peerNode, seq), waking its tx
-// helper. Late or duplicate acks (waiter already gone or resolved) are
-// no-ops.
-func (r *relState) ackArrived(peerNode int, seq uint64) {
-	r.mu.Lock()
-	if w, ok := r.waiters[relKey{peerNode, seq}]; ok && !w.acked {
+// assign returns the next sequence number toward dstNode.
+func (l *seqLane) assign(dstNode int) uint64 {
+	l.txMu.Lock()
+	seq := l.nextTx[dstNode]
+	l.nextTx[dstNode]++
+	l.txMu.Unlock()
+	return seq
+}
+
+// ackArrived resolves the waiter for (peerNode, seq), waking its sender.
+// Late or duplicate acks (waiter already gone or resolved) are no-ops.
+func (l *seqLane) ackArrived(peerNode int, seq uint64) {
+	l.mu.Lock()
+	if w, ok := l.waiters[relKey{peerNode, seq}]; ok && !w.acked {
 		w.acked = true
 		w.ev.Fire()
 	}
-	r.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // relBackoff returns the ack timeout for the given attempt number:
@@ -198,289 +140,147 @@ func relBackoff(r Reliability, attempt int) time.Duration {
 	return d
 }
 
-// sendReliable is the sequenced counterpart of the legacy dcgn-tx body:
-// it transmits msg and retransmits on ack timeout until acknowledged, the
-// retry budget is exhausted, or the transport fails hard. The retransmit
-// timer is armed only after Send returns, so a rendezvous transfer never
-// eats into its own ack timeout.
-func (ns *nodeState) sendReliable(h transport.Proc, req *request, dstNode int, seq uint64, msg []byte) {
-	rel := ns.rel
+// sendAwait transmits msg (sequence seq) to dstNode on the calling proc
+// and retransmits on ack timeout until it is acknowledged, the retry
+// budget is spent, or the transport fails hard. The retransmit timer is
+// armed only after the send returns, so a rendezvous transfer never eats
+// into its own ack timeout. req, when non-nil, is the two-sided request
+// the frame carries; it gets the wire-sent and acked stamps.
+func (l *seqLane) sendAwait(h transport.Proc, req *request, dstNode int, seq uint64, msg []byte) error {
+	ns := l.ns
 	cfg := ns.job.cfg.Reliability
 	key := relKey{dstNode, seq}
-	w := &relWaiter{ev: ns.rt.NewEventID("rel-wait", int(seq))}
-	rel.mu.Lock()
-	rel.waiters[key] = w
-	rel.mu.Unlock()
+	w := &relWaiter{ev: ns.rt.NewEventID(l.waitName, int(seq))}
+	l.mu.Lock()
+	l.waiters[key] = w
+	l.mu.Unlock()
 
-	h.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
 	var err error
 	for attempt := 0; ; attempt++ {
-		if sendErr := ns.tr.Send(h, dstNode, msg); sendErr != nil {
+		if sendErr := l.send(h, dstNode, msg); sendErr != nil {
 			err = sendErr
 			break
 		}
-		if ns.obsOn && req.wireSentAt == 0 {
+		if req != nil && ns.obsOn && req.wireSentAt == 0 {
 			req.wireSentAt = h.Now()
 		}
-		rel.mu.Lock()
+		l.mu.Lock()
 		if w.acked {
-			rel.mu.Unlock()
+			l.mu.Unlock()
 			break
 		}
 		ev := w.ev
-		rel.mu.Unlock()
+		l.mu.Unlock()
 		cancel := ns.rt.After(relBackoff(cfg, attempt), ev.Fire)
 		ev.Wait(h)
 		cancel()
-		rel.mu.Lock()
+		l.mu.Lock()
 		if w.acked {
-			rel.mu.Unlock()
+			l.mu.Unlock()
 			break
 		}
 		if attempt >= cfg.MaxRetries {
-			rel.mu.Unlock()
-			err = fmt.Errorf("dcgn: node %d seq %d to node %d: %w", ns.node, seq, dstNode, ErrUnacked)
+			l.mu.Unlock()
+			err = fmt.Errorf("dcgn: node %d %s %d to node %d: %w", ns.node, l.what, seq, dstNode, ErrUnacked)
 			break
 		}
 		// Timed out: re-arm with a fresh completion (the old one is spent)
 		// and go around for a retransmission.
-		w.ev = ns.rt.NewEventID("rel-wait", int(seq))
-		rel.mu.Unlock()
-		atomic.AddInt64(&rel.retransmits, 1)
+		w.ev = ns.rt.NewEventID(l.waitName, int(seq))
+		l.mu.Unlock()
+		atomic.AddInt64(&l.retransmits, 1)
 		if ns.met != nil {
 			ns.met.backoff.Observe(int64(relBackoff(cfg, attempt)))
 		}
 	}
-	if ns.obsOn && err == nil {
+	if req != nil && ns.obsOn && err == nil {
 		// The only clean exit from the loop is an acknowledged frame.
 		req.ackedAt = h.Now()
 	}
-	rel.mu.Lock()
-	delete(rel.waiters, key)
-	rel.mu.Unlock()
-	ns.job.pool.Put(msg)
-	h.SleepJit(ns.job.cfg.Params.NotifyCost)
-	req.complete(req.rank, len(req.buf), err)
+	l.mu.Lock()
+	delete(l.waiters, key)
+	l.mu.Unlock()
+	return err
 }
 
 // sendAck acknowledges seq to peerNode from a spawned helper so the
-// receiver daemon never blocks in a transport send (two receivers
+// receiving daemon never blocks in a transport send (two receivers
 // synchronously acking into each other's full inbound queues would
 // deadlock). The helper is a worker, not a daemon: the run stays alive
 // until the ack is out and its buffer is back in the pool.
-func (ns *nodeState) sendAck(peerNode int, seq uint64) {
-	ack := packRelAck(ns.job.pool, ns.node, seq)
-	atomic.AddInt64(&ns.rel.acksSent, 1)
-	ns.rt.SpawnID("dcgn-ack", ns.node, func(h transport.Proc) {
+func (l *seqLane) sendAck(peerNode int, seq uint64) {
+	ns := l.ns
+	ack := ns.pack(&frame{kind: l.ackKind, src: ns.node, seq: seq})
+	atomic.AddInt64(&l.acksSent, 1)
+	ns.rt.SpawnID(l.ackName, ns.node, func(h transport.Proc) {
 		// Best-effort: a dropped or post-close ack is recovered by the
 		// sender's retransmission, which we will re-ack.
-		_ = ns.tr.Send(h, peerNode, ack)
+		_ = l.send(h, peerNode, ack)
 		ns.job.pool.Put(ack)
 	})
 }
 
-// recvReliable dispatches one sequenced frame inside the receiver helper.
+// recv dispatches one sequenced frame inside the lane's receiving daemon.
 // Data frames are always (re-)acknowledged — the previous ack may itself
 // have been the frame the fabric dropped — then deduplicated and
-// resequenced so the comm thread observes per-node-pair FIFO delivery no
+// resequenced, so the consumer observes per-node-pair FIFO delivery no
 // matter what order the wire produced.
-func (ns *nodeState) recvReliable(p transport.Proc, msg []byte) {
-	kind, src, dst, seq, payload, traceID, spanID, err := unpackRel(msg, ns.flowsOn)
-	if err != nil {
-		panic(fmt.Sprintf("dcgn: receiver on node %d: %v", ns.node, err))
-	}
-	rel := ns.rel
-	if kind == relKindAck {
-		atomic.AddInt64(&rel.acksReceived, 1)
-		rel.ackArrived(src, seq)
-		ns.job.pool.Put(msg)
+func (l *seqLane) recv(p transport.Proc, f frame) {
+	pool := l.ns.job.pool
+	if f.kind == l.ackKind {
+		atomic.AddInt64(&l.acksReceived, 1)
+		l.ackArrived(f.src, f.seq)
+		pool.Put(f.backing)
 		return
 	}
-	srcNode := ns.job.rmap.Node(src)
-	ns.sendAck(srcNode, seq)
+	srcNode := l.ns.job.rmap.Node(f.src)
+	l.sendAck(srcNode, f.seq)
 	switch {
-	case seq < rel.nextRx[srcNode]:
+	case f.seq < l.nextRx[srcNode]:
 		// Already delivered: a retransmission whose ack was lost.
-		atomic.AddInt64(&rel.dupFrames, 1)
-		ns.job.pool.Put(msg)
-	case seq == rel.nextRx[srcNode]:
-		p.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
-		ns.intake.postInbound(&inbound{src: src, dst: dst, data: payload, backing: msg, traceID: traceID, spanID: spanID})
-		rel.nextRx[srcNode]++
+		atomic.AddInt64(&l.dupFrames, 1)
+		pool.Put(f.backing)
+	case f.seq == l.nextRx[srcNode]:
+		l.deliver(p, f)
+		l.nextRx[srcNode]++
 		for {
-			in, ok := rel.held[srcNode][rel.nextRx[srcNode]]
+			next, ok := l.held[srcNode][l.nextRx[srcNode]]
 			if !ok {
 				break
 			}
-			delete(rel.held[srcNode], rel.nextRx[srcNode])
-			p.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
-			ns.intake.postInbound(in)
-			rel.nextRx[srcNode]++
+			delete(l.held[srcNode], l.nextRx[srcNode])
+			l.deliver(p, *next)
+			l.nextRx[srcNode]++
 		}
 	default:
 		// Ahead of the cursor: park it until the gap fills (the sender
 		// retransmits the missing frame until we ack it, so it will).
-		if _, dup := rel.held[srcNode][seq]; dup {
-			atomic.AddInt64(&rel.dupFrames, 1)
-			ns.job.pool.Put(msg)
+		if _, dup := l.held[srcNode][f.seq]; dup {
+			atomic.AddInt64(&l.dupFrames, 1)
+			pool.Put(f.backing)
 		} else {
-			rel.held[srcNode][seq] = &inbound{src: src, dst: dst, data: payload, backing: msg, traceID: traceID, spanID: spanID}
+			parked := f
+			l.held[srcNode][f.seq] = &parked
 		}
 	}
 }
 
 // releaseHeld returns parked out-of-order frames to the pool; called when
-// the receiver unwinds on a closed transport (live teardown can close the
-// wire with unfilled gaps still parked).
-func (r *relState) releaseHeld(pool *bufpool.Pool) {
-	for _, m := range r.held {
-		for seq, in := range m {
-			pool.Put(in.backing)
+// the receiving daemon unwinds on a closed transport (live teardown can
+// close the wire with unfilled gaps still parked).
+func (l *seqLane) releaseHeld() {
+	for _, m := range l.held {
+		for seq, f := range m {
+			l.ns.job.pool.Put(f.backing)
 			delete(m, seq)
 		}
 	}
 }
 
-// --- One-sided lane ------------------------------------------------------
-//
-// One-sided frames get seq/ack exactly like sends, but in a sequence space
-// of their own (osState.nextTx/nextRx/waiters): the lane is a separate
-// wire stream, so numbering it jointly with two-sided traffic would couple
-// the two FIFOs and reintroduce the comm-thread serialization the lane
-// exists to avoid. Unlike handleSend, sequence assignment has no single
-// owning thread — CPU kernels, persistent puts and the per-device NIC
-// daemons all post frames — so nextTx is mutex-guarded (osState.txMu).
-// Retransmit/ack/dup accounting feeds the shared relState counters: a
-// retransmitted put is a retransmission, whichever lane carried it.
-
-// osAckArrived resolves the one-sided waiter for (peerNode, seq).
-func (osw *osState) osAckArrived(peerNode int, seq uint64) {
-	osw.waitMu.Lock()
-	if w, ok := osw.waiters[relKey{peerNode, seq}]; ok && !w.acked {
-		w.acked = true
-		w.ev.Fire()
-	}
-	osw.waitMu.Unlock()
-}
-
-// osSendReliable transmits one pooled one-sided frame and blocks on the
-// calling proc until it is acknowledged (or the retry budget is spent),
-// then releases the frame. Unlike sendReliable this runs inline on the
-// producing proc — the lane has no comm-thread relay to hand off to.
-func (ns *nodeState) osSendReliable(h transport.Proc, dstNode int, seq uint64, frame []byte) error {
-	err := ns.osSendLoop(h, dstNode, seq, frame)
-	ns.job.pool.Put(frame)
-	return err
-}
-
-// osSendReliablePersistent is osSendReliable for a persistent request's
-// pre-packed frame, which stays with its handle across fires.
-func (ns *nodeState) osSendReliablePersistent(h transport.Proc, dstNode int, seq uint64, frame []byte) error {
-	return ns.osSendLoop(h, dstNode, seq, frame)
-}
-
-// osSendLoop is the one-sided retransmit loop: send, await ack with capped
-// exponential backoff, retransmit on timeout. Same shape and Reliability
-// knobs as sendReliable, against the one-sided waiter table.
-func (ns *nodeState) osSendLoop(h transport.Proc, dstNode int, seq uint64, frame []byte) error {
-	osw := ns.osw
-	rel := ns.rel
-	cfg := ns.job.cfg.Reliability
-	key := relKey{dstNode, seq}
-	w := &relWaiter{ev: ns.rt.NewEventID("os-wait", int(seq))}
-	osw.waitMu.Lock()
-	osw.waiters[key] = w
-	osw.waitMu.Unlock()
-
-	var err error
-	for attempt := 0; ; attempt++ {
-		if sendErr := osw.tr.SendOneSided(h, dstNode, frame); sendErr != nil {
-			err = sendErr
-			break
-		}
-		osw.waitMu.Lock()
-		if w.acked {
-			osw.waitMu.Unlock()
-			break
-		}
-		ev := w.ev
-		osw.waitMu.Unlock()
-		cancel := ns.rt.After(relBackoff(cfg, attempt), ev.Fire)
-		ev.Wait(h)
-		cancel()
-		osw.waitMu.Lock()
-		if w.acked {
-			osw.waitMu.Unlock()
-			break
-		}
-		if attempt >= cfg.MaxRetries {
-			osw.waitMu.Unlock()
-			err = fmt.Errorf("dcgn: node %d one-sided seq %d to node %d: %w", ns.node, seq, dstNode, ErrUnacked)
-			break
-		}
-		w.ev = ns.rt.NewEventID("os-wait", int(seq))
-		osw.waitMu.Unlock()
-		atomic.AddInt64(&rel.retransmits, 1)
-		if ns.met != nil {
-			ns.met.backoff.Observe(int64(relBackoff(cfg, attempt)))
-		}
-	}
-	osw.waitMu.Lock()
-	delete(osw.waiters, key)
-	osw.waitMu.Unlock()
-	return err
-}
-
-// osSendAck acknowledges one-sided seq to peerNode from a spawned worker,
-// mirroring sendAck's never-block-the-sink rule.
-func (ns *nodeState) osSendAck(peerNode int, seq uint64) {
-	osw := ns.osw
-	ack := ns.packOSFrame(&osFrame{kind: osAck, src: ns.node, seq: seq})
-	atomic.AddInt64(&ns.rel.acksSent, 1)
-	ns.rt.SpawnID("os-ack", ns.node, func(h transport.Proc) {
-		// Best-effort, like sendAck: the sender retransmits and we re-ack.
-		_ = osw.tr.SendOneSided(h, peerNode, ack)
-		ns.job.pool.Put(ack)
-	})
-}
-
-// osRecvReliable dispatches one sequenced one-sided frame inside the sink
-// daemon: ack-always, dedup, resequence per source node, then apply in
-// order — so puts from one origin land in post order no matter what the
-// faulted wire did, and chaos runs stay bit-identical to clean ones.
-func (ns *nodeState) osRecvReliable(p transport.Proc, f *osFrame) {
-	osw := ns.osw
-	rel := ns.rel
-	if f.kind == osAck {
-		atomic.AddInt64(&rel.acksReceived, 1)
-		osw.osAckArrived(f.src, f.seq)
-		ns.job.pool.Put(f.backing)
-		return
-	}
-	srcNode := ns.job.rmap.Node(f.src)
-	ns.osSendAck(srcNode, f.seq)
-	switch {
-	case f.seq < osw.nextRx[srcNode]:
-		atomic.AddInt64(&rel.dupFrames, 1)
-		ns.job.pool.Put(f.backing)
-	case f.seq == osw.nextRx[srcNode]:
-		ns.osDispatch(p, f)
-		osw.nextRx[srcNode]++
-		for {
-			next, ok := osw.held[srcNode][osw.nextRx[srcNode]]
-			if !ok {
-				break
-			}
-			delete(osw.held[srcNode], osw.nextRx[srcNode])
-			ns.osDispatch(p, next)
-			osw.nextRx[srcNode]++
-		}
-	default:
-		if _, dup := osw.held[srcNode][f.seq]; dup {
-			atomic.AddInt64(&rel.dupFrames, 1)
-			ns.job.pool.Put(f.backing)
-		} else {
-			osw.held[srcNode][f.seq] = f
-		}
-	}
+// addStats folds the lane's counters into one node's stats.
+func (l *seqLane) addStats(st *NodeStats) {
+	st.Retransmits += atomic.LoadInt64(&l.retransmits)
+	st.DupWireFrames += atomic.LoadInt64(&l.dupFrames)
+	st.AcksSent += atomic.LoadInt64(&l.acksSent)
+	st.AcksReceived += atomic.LoadInt64(&l.acksReceived)
 }

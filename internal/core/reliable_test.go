@@ -2,83 +2,21 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"dcgn/internal/bufpool"
 	"dcgn/internal/transport"
 	"dcgn/internal/transport/faults"
 )
 
-// Tests for the wire-level reliability layer (reliable.go): the sequenced
-// frame format, the backoff schedule, and — end to end — that a lossy,
-// duplicating, reordering fabric degrades throughput instead of
-// deadlocking, while DCGN's FIFO matching semantics hold unchanged.
-
-func TestRelFrameRoundtrip(t *testing.T) {
-	pool := bufpool.New()
-	payload := pattern(300, 5)
-	msg := packRelData(pool, 7, 12, 99, payload, false, 0, 0)
-	kind, src, dst, seq, got, _, _, err := unpackRel(msg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != relKindData || src != 7 || dst != 12 || seq != 99 || !bytes.Equal(got, payload) {
-		t.Fatalf("data frame roundtrip: kind=%d src=%d dst=%d seq=%d", kind, src, dst, seq)
-	}
-	pool.Put(msg)
-
-	ack := packRelAck(pool, 3, 42)
-	kind, src, _, seq, got, _, _, err = unpackRel(ack, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != relKindAck || src != 3 || seq != 42 || len(got) != 0 {
-		t.Fatalf("ack frame roundtrip: kind=%d src=%d seq=%d payload=%d", kind, src, seq, len(got))
-	}
-	pool.Put(ack)
-
-	if _, _, _, _, _, _, _, err := unpackRel(make([]byte, 10), false); err == nil {
-		t.Fatal("short frame unpacked without error")
-	}
-	bad := packRelAck(pool, 0, 0)
-	bad[32] = 9 // unknown kind
-	if _, _, _, _, _, _, _, err := unpackRel(bad, false); err == nil {
-		t.Fatal("unknown frame kind unpacked without error")
-	}
-}
-
-// TestRelFrameRoundtripFlows pins the flows-on data-frame layout (flow
-// context after the kind, payload at offset 56) and that acks — which
-// never carry context — still parse in the same stream.
-func TestRelFrameRoundtripFlows(t *testing.T) {
-	pool := bufpool.New()
-	payload := pattern(300, 5)
-	msg := packRelData(pool, 7, 12, 99, payload, true, 0xabcd, 0x1234)
-	kind, src, dst, seq, got, traceID, spanID, err := unpackRel(msg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != relKindData || src != 7 || dst != 12 || seq != 99 || !bytes.Equal(got, payload) {
-		t.Fatalf("flows data frame roundtrip: kind=%d src=%d dst=%d seq=%d", kind, src, dst, seq)
-	}
-	if traceID != 0xabcd || spanID != 0x1234 {
-		t.Fatalf("flow context lost: trace=%#x span=%#x", traceID, spanID)
-	}
-	pool.Put(msg)
-
-	ack := packRelAck(pool, 3, 42)
-	kind, src, _, seq, got, traceID, spanID, err = unpackRel(ack, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != relKindAck || src != 3 || seq != 42 || len(got) != 0 || traceID != 0 || spanID != 0 {
-		t.Fatalf("ack frame roundtrip under flows: kind=%d src=%d seq=%d payload=%d trace=%#x", kind, src, seq, len(got), traceID)
-	}
-	pool.Put(ack)
-}
+// Tests for the wire-level reliability layer (reliable.go): the backoff
+// schedule and — end to end — that a lossy, duplicating, reordering
+// fabric degrades throughput instead of deadlocking, while DCGN's FIFO
+// matching semantics hold unchanged.
 
 func TestRelBackoffSchedule(t *testing.T) {
 	r := Reliability{AckTimeout: 20 * time.Millisecond, BackoffCap: 500 * time.Millisecond}
@@ -148,6 +86,77 @@ func TestReliableCleanWire(t *testing.T) {
 		}
 		if rep.Retransmits != 0 {
 			t.Errorf("clean wire retransmitted %d frames", rep.Retransmits)
+		}
+		if rep.PoolAcquires != rep.PoolReleases {
+			t.Errorf("pool leak: %d acquires vs %d releases", rep.PoolAcquires, rep.PoolReleases)
+		}
+	})
+}
+
+// corruptFirstData wraps a transport and overwrites the payload-length
+// field of the first sequenced data frame it receives with 2^63 — a length
+// that wraps negative when read as a signed int. done is shared by every
+// node's wrapper, so exactly one frame per job is corrupted.
+type corruptFirstData struct {
+	transport.Transport
+	done *atomic.Bool
+}
+
+func (c *corruptFirstData) RecvMsg(p transport.Proc) ([]byte, error) {
+	msg, err := c.Transport.RecvMsg(p)
+	if err == nil && len(msg) >= seqHeaderLen && frameKind(binary.LittleEndian.Uint32(msg[32:])) == kindData && c.done.CompareAndSwap(false, true) {
+		binary.LittleEndian.PutUint64(msg[16:], 1<<63)
+	}
+	return msg, err
+}
+
+// corruptFirstDataHook is the Config.WrapTransport hook installing
+// corruptFirstData on every node.
+func corruptFirstDataHook() func(transport.Transport) transport.Transport {
+	done := new(atomic.Bool)
+	return func(tr transport.Transport) transport.Transport {
+		return &corruptFirstData{Transport: tr, done: done}
+	}
+}
+
+// TestReliableDropsMalformedFrame corrupts the length field of the first
+// inbound data frame: the receiver must drop and count it instead of
+// crashing the node, and the sender's retransmission must repair the gap
+// so every payload still arrives intact.
+func TestReliableDropsMalformedFrame(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		const msgs = 6
+		cfg := reliableConfig(backend, faults.Config{})
+		cfg.WrapTransport = corruptFirstDataHook()
+		job := NewJob(cfg)
+		job.SetCPUKernel(func(c *CPUCtx) {
+			peer := 1 - c.Rank()
+			for i := 0; i < msgs; i++ {
+				buf := pattern(100+i, byte(i))
+				if c.Rank() == 0 {
+					if err := c.Send(peer, buf); err != nil {
+						t.Error(err)
+					}
+					continue
+				}
+				got := make([]byte, len(buf))
+				if _, err := c.Recv(peer, got); err != nil {
+					t.Error(err)
+				}
+				if !bytes.Equal(got, buf) {
+					t.Errorf("message %d corrupted", i)
+				}
+			}
+		})
+		rep, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.DecodeErrors != 1 {
+			t.Errorf("DecodeErrors = %d, want 1", rep.DecodeErrors)
+		}
+		if rep.Retransmits < 1 {
+			t.Errorf("dropped frame was never retransmitted")
 		}
 		if rep.PoolAcquires != rep.PoolReleases {
 			t.Errorf("pool leak: %d acquires vs %d releases", rep.PoolAcquires, rep.PoolReleases)
