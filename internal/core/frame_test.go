@@ -10,7 +10,8 @@ import (
 )
 
 // Tests for the wire codec (frame.go): one table pinning every layout's
-// header length, round trip and rejections, and a fuzz target holding
+// header length, round trip and rejections, focused round-trip and
+// rejection tests for the two two-sided lanes, and a fuzz target holding
 // unmarshal to "never panics, and what it accepts re-marshals to the
 // same bytes".
 
@@ -76,13 +77,10 @@ func TestFrameLayout(t *testing.T) {
 			)
 		}
 	}
-	hello := frame{kind: kindMsg, src: 1, dst: 2, payload: []byte("hello"), traceID: 7, spanID: 9}
+	// The plain lane's short/truncated frames and the sequenced lane's
+	// short frame and unknown kind are TestUnpackWireRejectsGarbage and
+	// TestRelFrameRoundtrip.
 	rows = append(rows,
-		row{name: "plain/short", f: hello, hdr: 24, corrupt: func([]byte) []byte { return []byte{1, 2, 3} }},
-		row{name: "plain/truncated-payload", f: hello, hdr: 24, corrupt: func(m []byte) []byte { return m[:len(m)-2] }},
-		row{name: "plain/short-flow-header", f: hello, flows: true, hdr: 40, corrupt: func(m []byte) []byte { return m[:plainHeaderLen+4] }},
-		row{name: "seq/short", f: sampleFrame(kindData), hdr: 40, corrupt: func([]byte) []byte { return make([]byte, 10) }},
-		row{name: "seq/unknown-kind", f: sampleFrame(kindAck), hdr: 40, corrupt: func(m []byte) []byte { m[32] = 9; return m }},
 		row{name: "seq/kind-out-of-range", f: sampleFrame(kindData), hdr: 40, corrupt: func(m []byte) []byte { m[32] = 200; return m }},
 		row{name: "seq/flags-in-kind-high-bytes", f: sampleFrame(kindData), hdr: 40, corrupt: func(m []byte) []byte { m[35] = 1; return m }},
 		row{name: "onesided/two-sided-kind", f: sampleFrame(kindPut), hdr: 72, corrupt: func(m []byte) []byte { m[32] = byte(kindData); return m }},
@@ -148,6 +146,104 @@ func TestFrameLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// Property: the plain two-sided lane round-trips arbitrary payloads and
+// rank pairs, in both the legacy and the flows-on layout (where the
+// carried flow context must round-trip too).
+func TestWireRoundtripProperty(t *testing.T) {
+	prop := func(src, dst uint16, payload []byte, flows bool, traceID, spanID uint64) bool {
+		f := frame{kind: kindMsg, src: int(src), dst: int(dst), payload: payload, traceID: traceID, spanID: spanID}
+		got, err := unmarshal(marshalled(f, flows), lanePlain, flows)
+		if err != nil || got.kind != kindMsg || got.src != int(src) || got.dst != int(dst) {
+			return false
+		}
+		if flows && (got.traceID != traceID || got.spanID != spanID) {
+			return false
+		}
+		if !flows && (got.traceID != 0 || got.spanID != 0) {
+			return false
+		}
+		return bytes.Equal(got.payload, payload)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestUnpackWireRejectsGarbage(t *testing.T) {
+	if _, err := unmarshal([]byte{1, 2, 3}, lanePlain, false); err == nil {
+		t.Fatal("short message accepted")
+	}
+	hello := frame{kind: kindMsg, src: 1, dst: 2, payload: []byte("hello"), traceID: 7, spanID: 9}
+	msg := marshalled(hello, false)
+	if _, err := unmarshal(msg[:len(msg)-2], lanePlain, false); err == nil {
+		t.Fatal("truncated payload accepted")
+	}
+	flowMsg := marshalled(hello, true)
+	if _, err := unmarshal(flowMsg[:plainHeaderLen+4], lanePlain, true); err == nil {
+		t.Fatal("short flows header accepted")
+	}
+}
+
+func TestRelFrameRoundtrip(t *testing.T) {
+	payload := pattern(300, 5)
+	msg := marshalled(frame{kind: kindData, src: 7, dst: 12, seq: 99, payload: payload}, false)
+	got, err := unmarshal(msg, laneSeq, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.kind != kindData || got.src != 7 || got.dst != 12 || got.seq != 99 || !bytes.Equal(got.payload, payload) {
+		t.Fatalf("data frame roundtrip: kind=%d src=%d dst=%d seq=%d", got.kind, got.src, got.dst, got.seq)
+	}
+
+	ack := marshalled(frame{kind: kindAck, src: 3, seq: 42}, false)
+	got, err = unmarshal(ack, laneSeq, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.kind != kindAck || got.src != 3 || got.seq != 42 || len(got.payload) != 0 {
+		t.Fatalf("ack frame roundtrip: kind=%d src=%d seq=%d payload=%d", got.kind, got.src, got.seq, len(got.payload))
+	}
+
+	if _, err := unmarshal(make([]byte, 10), laneSeq, false); err == nil {
+		t.Fatal("short frame unpacked without error")
+	}
+	bad := marshalled(frame{kind: kindAck}, false)
+	bad[32] = 9 // unknown kind
+	if _, err := unmarshal(bad, laneSeq, false); err == nil {
+		t.Fatal("unknown frame kind unpacked without error")
+	}
+}
+
+// TestRelFrameRoundtripFlows pins the flows-on data-frame layout (flow
+// context after the kind, payload at offset 56) and that acks, which
+// never carry context, still parse in the same stream.
+func TestRelFrameRoundtripFlows(t *testing.T) {
+	payload := pattern(300, 5)
+	msg := marshalled(frame{kind: kindData, src: 7, dst: 12, seq: 99, payload: payload, traceID: 0xabcd, spanID: 0x1234}, true)
+	if !bytes.Equal(msg[56:], payload) {
+		t.Fatalf("flows data frame payload not at offset 56 (frame %d bytes)", len(msg))
+	}
+	got, err := unmarshal(msg, laneSeq, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.kind != kindData || got.src != 7 || got.dst != 12 || got.seq != 99 || !bytes.Equal(got.payload, payload) {
+		t.Fatalf("flows data frame roundtrip: kind=%d src=%d dst=%d seq=%d", got.kind, got.src, got.dst, got.seq)
+	}
+	if got.traceID != 0xabcd || got.spanID != 0x1234 {
+		t.Fatalf("flow context lost: trace=%#x span=%#x", got.traceID, got.spanID)
+	}
+
+	ack := marshalled(frame{kind: kindAck, src: 3, seq: 42}, true)
+	got, err = unmarshal(ack, laneSeq, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.kind != kindAck || got.src != 3 || got.seq != 42 || len(got.payload) != 0 || got.traceID != 0 || got.spanID != 0 {
+		t.Fatalf("ack frame roundtrip under flows: kind=%d src=%d seq=%d payload=%d trace=%#x", got.kind, got.src, got.seq, len(got.payload), got.traceID)
+	}
 }
 
 func FuzzFrameUnmarshal(f *testing.F) {
