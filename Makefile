@@ -102,13 +102,15 @@ multitenant:
 
 # Loadgen gate mirroring the CI loadgen-smoke job: the workload-layer
 # suite under the race detector, a seeded Poisson run on the sim backend
-# diffed for byte-identical SLO reports, and the same preset on the live
-# backend.
+# diffed for byte-identical SLO reports (run against run, and against the
+# committed testdata/loadgen_mixed_seed7.json), and the same preset on the
+# live backend.
 loadgen:
 	$(GO) test -race ./internal/loadgen/
 	$(GO) run ./cmd/dcgn-loadgen -preset mixed -rate 300 -duration 1s -seed 7 -o /tmp/dcgn-slo-a.json
 	$(GO) run ./cmd/dcgn-loadgen -preset mixed -rate 300 -duration 1s -seed 7 -o /tmp/dcgn-slo-b.json
 	diff /tmp/dcgn-slo-a.json /tmp/dcgn-slo-b.json
+	diff testdata/loadgen_mixed_seed7.json /tmp/dcgn-slo-a.json
 	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 100 -duration 1s -backend live -nodes 8 -seed 7 -o /tmp/dcgn-slo-live.json
 
 # Exporter validation: the typed-struct schema tests plus a 4-node fixture
@@ -122,7 +124,8 @@ trace-export:
 # Causal flow-tracing gate: the stitching/critical-path suites under the
 # race detector, the chaos differential with flows on, a seeded
 # determinism diff of the dcgn-trace critical-path text (two runs must
-# render byte-identically), a Perfetto flow-event schema check on the
+# render byte-identically, and the text table must match the committed
+# testdata/critical_path_4n.txt), a Perfetto flow-event schema check on the
 # exported chrome trace, and the flows-on loadgen determinism diff.
 flows:
 	$(GO) test -race ./internal/obs/flow/
@@ -131,6 +134,8 @@ flows:
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o /tmp/dcgn-flow.json > /tmp/dcgn-cp-a.txt
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o /tmp/dcgn-flow.json > /tmp/dcgn-cp-b.txt
 	diff /tmp/dcgn-cp-a.txt /tmp/dcgn-cp-b.txt
+	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path > /tmp/dcgn-cp-text.txt
+	diff testdata/critical_path_4n.txt /tmp/dcgn-cp-text.txt
 	grep -q '"ph": *"s"' /tmp/dcgn-flow.json
 	grep -q '"ph": *"f"' /tmp/dcgn-flow.json
 	grep -q '"bp": *"e"' /tmp/dcgn-flow.json
