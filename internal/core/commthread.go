@@ -72,10 +72,10 @@ type nodeState struct {
 	// Stats.
 	requestsHandled int
 	// collRetried counts node-level collective calls re-executed after a
-	// transient transport failure (collCall); read atomically by fillReport.
+	// transient transport failure (collCall); read atomically by report.
 	collRetried int64
 	// decodeErrors counts malformed inbound frames dropped on either lane;
-	// read atomically by fillReport.
+	// read atomically by report.
 	decodeErrors int64
 }
 
@@ -142,7 +142,7 @@ func (ns *nodeState) runReceiver(p transport.Proc) {
 			panic(fmt.Sprintf("dcgn: receiver on node %d: %v", ns.node, err))
 		}
 		f, err := unmarshal(msg, lane, ns.flowsOn)
-		if err != nil {
+		if err != nil || !ns.addressedHere(&f) {
 			// A malformed frame is dropped, never fatal; under
 			// Config.Reliability the sender retransmits it.
 			ns.dropFrame(msg)
@@ -156,6 +156,19 @@ func (ns *nodeState) runReceiver(p transport.Proc) {
 func (ns *nodeState) postWire(p transport.Proc, f frame) {
 	p.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
 	ns.intake.postInbound(&f)
+}
+
+// addressedHere reports whether a parsed frame's ranks fit this job and
+// node: an ack's src is the acking node; every other frame comes from a
+// job rank to a rank resident here. A frame that fails it is malformed,
+// like one that fails to parse.
+func (ns *nodeState) addressedHere(f *frame) bool {
+	rm := ns.job.rmap
+	if f.kind == kindAck || f.kind == kindOSAck {
+		return f.src >= 0 && f.src < rm.Nodes()
+	}
+	base := rm.Base(ns.node)
+	return f.src >= 0 && f.src < rm.Total() && f.dst >= base && f.dst < base+rm.PerNode(ns.node)
 }
 
 // dropFrame discards one malformed frame's buffer and counts it in

@@ -110,9 +110,10 @@ func flowsDocument(flows []flowJSON, k int) flowsJSON {
 // flowsHandler serves the single-job flows document from the job's live
 // trace sink; an empty document when flow tracing is off.
 func (j *Job) flowsHandler() http.Handler {
+	ts := j.trace // the run drops j.trace at its end, while this still serves
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		var spans []obs.Span
-		if ts := j.trace; ts != nil {
+		if ts != nil {
 			spans = ts.spans()
 		}
 		writeJSON(w, flowsDocument(stitchJSON(spans, 0, "", ""), flowsTopK(req)))

@@ -7,7 +7,6 @@ import (
 
 	"dcgn/internal/bufpool"
 	"dcgn/internal/device"
-	"dcgn/internal/fabric"
 	"dcgn/internal/mpi"
 	"dcgn/internal/obs"
 	"dcgn/internal/obs/flow"
@@ -25,27 +24,21 @@ import (
 type Job struct {
 	cfg  Config
 	rmap RankMap
+	// cfgErr is the verdict of Config.validate and the rank map's shape
+	// check, kept by NewJob and returned by Run and Runtime.Submit; the
+	// rank map is empty when it is set.
+	cfgErr error
 
-	// rt is the execution substrate: the deterministic simulator (runSim)
-	// or goroutines on the wall clock (runLive).
-	rt    rt
-	sim   *sim.Sim // non-nil only on the simulated backend
-	net   *fabric.Network
-	world *mpi.World
+	// sim is the simulator the job runs on (nil on the live backend and in
+	// sharded runs, whose nodes each run on their shard's simulator).
+	sim   *sim.Sim
 	nodes []*nodeState
 
 	// pool recycles every host-side staging buffer the run creates — GPU
-	// payload staging, wire pack/unpack, collective scratch, and (shared
-	// via mpi.Config.Pool) the MPI layer's envelope staging. Buffer reuse
-	// is host-side only and never observable in virtual time.
+	// payload staging, wire pack/unpack, collective scratch, and (as the
+	// pool of the job's MPI ranks) the MPI layer's envelope staging. Buffer
+	// reuse is host-side only and never observable in virtual time.
 	pool *bufpool.Pool
-
-	// trFactory, when set, supplies each node's raw transport endpoint in
-	// place of the default world-wide simulated-MPI endpoint. A multi-tenant
-	// Runtime installs it to hand every node a tenant-scoped endpoint
-	// (private tag band, group collectives) over the shared world; nil — the
-	// single-job path — keeps the legacy endpoint, bit-identically.
-	trFactory func(node int) transport.Transport
 
 	cpuKernel func(*CPUCtx)
 
@@ -59,9 +52,9 @@ type Job struct {
 	debug debugServer
 
 	// flowEpoch is the start of the critical-path analysis window: the
-	// job's admission instant on a multi-tenant runtime (whose simulated
-	// clock is shared across jobs), zero for exclusive and live runs
-	// (job-local clocks).
+	// job's admission instant on the simulated runtime (whose clock is
+	// shared across jobs), zero for sharded and live runs (job-local
+	// clocks).
 	flowEpoch time.Duration
 
 	gpuGrid     int
@@ -125,10 +118,15 @@ func (gs *GPUSetup) RegisterTrigger(srcSlot, dst, winID, offset int, ptr device.
 	return len(gt.persist) - 1
 }
 
-// NewJob creates a job for the given cluster configuration.
+// NewJob creates a job for the given cluster configuration. A
+// configuration no backend can run is not a panic: Run and Runtime.Submit
+// return its error.
 func NewJob(cfg Config) *Job {
-	cfg.validate()
-	return &Job{cfg: cfg, rmap: NewRankMap(cfg.nodeSpecs())}
+	j := &Job{cfgErr: cfg.validate(), cfg: cfg}
+	if j.cfgErr == nil {
+		j.rmap, j.cfgErr = newRankMap(cfg.nodeSpecs())
+	}
+	return j
 }
 
 // Config returns the job configuration.
@@ -181,7 +179,10 @@ func (j *Job) SetGPUTeardown(fn func(*GPUSetup)) { j.gpuTeardown = fn }
 type Report struct {
 	// Elapsed is the virtual wall-clock time of the whole job.
 	Elapsed time.Duration
-	// NetPackets / NetBytes count inter-node traffic.
+	// NetPackets / NetBytes count the inter-node traffic the job's nodes
+	// sent: fabric packets (MPI control packets included) on the simulated
+	// backend, from admission to finish, so a tenant of a shared Runtime
+	// reads the same totals as a solo run; DCGN frames on the live backend.
 	NetPackets int
 	NetBytes   int64
 	// BusTransfers / BusCtlOps aggregate PCIe activity over all nodes.
@@ -297,14 +298,16 @@ type NodeStats struct {
 
 // Run executes the job to completion and reports results on the
 // configured backend: virtual time on the default simulated transport,
-// wall-clock time on the live goroutine transport.
+// wall-clock time on the live goroutine transport. It is a Runtime of one:
+// a runtime sized exactly to the job, with the job as its only tenant.
+// Sharded runs keep their own substrate (runShardedSim) but build, run and
+// report the job with the same code.
 func (j *Job) Run() (Report, error) {
-	if err := j.cfg.shardError(); err != nil {
+	if err := j.check(); err != nil {
 		return Report{}, err
 	}
-	if j.cpuKernel == nil && j.gpuKernel == nil {
-		return Report{}, fmt.Errorf("dcgn: no kernels installed")
-	}
+	// The job's own sinks, made before its debug endpoint starts so the
+	// endpoint serves what the engine writes; admission keeps them.
 	if j.cfg.Trace {
 		j.trace = newTraceSink(j.cfg.Nodes, j.rmap.Total(), j.cfg.TraceCap, j.cfg.Flows)
 	}
@@ -315,67 +318,83 @@ func (j *Job) Run() (Report, error) {
 		return Report{}, err
 	}
 	defer j.stopDebugServer()
-	return runExclusive(j)
-}
-
-// runSim executes the job on the simulated backend and reports
-// virtual-time results.
-func (j *Job) runSim() (Report, error) {
-	s := sim.New()
-	if j.cfg.JitterFrac > 0 || j.cfg.JitterSeed != 0 {
-		s.SetJitter(j.cfg.JitterFrac, j.cfg.JitterSeed)
+	if j.cfg.Shards > 0 {
+		return j.runShardedSim()
 	}
-	s.SetMaxTime(j.cfg.MaxVirtualTime)
-	j.sim = s
-	j.rt = simRT{s: s}
-	j.net = fabric.New(s, j.cfg.Nodes, j.cfg.Net)
-	j.pool = bufpool.New()
-	nodeOf := make([]int, j.cfg.Nodes) // one underlying MPI rank per node
-	for i := range nodeOf {
-		nodeOf[i] = i
-	}
-	mpiCfg := j.cfg.MPI
-	mpiCfg.Pool = j.pool // one pool across layers, so leak accounting is exact
-	j.world = mpi.NewWorld(s, j.net, nodeOf, mpiCfg)
-
-	j.nodes = nil
-	for n := 0; n < j.cfg.Nodes; n++ {
-		j.nodes = append(j.nodes, j.buildSimNode(n, s, j.rt))
-	}
-
-	// CPU-kernel threads.
-	if err := j.spawnCPUKernels(); err != nil {
+	r, err := NewRuntime(RuntimeConfig{
+		Nodes:          j.cfg.Nodes,
+		Transport:      j.cfg.Transport,
+		Net:            j.cfg.Net,
+		MPI:            j.cfg.MPI,
+		MaxVirtualTime: j.cfg.MaxVirtualTime,
+	})
+	if err != nil {
 		return Report{}, err
 	}
-
-	// GPU-kernel threads: setup, launch, wait, teardown.
-	if err := j.spawnGPUKernels(); err != nil {
+	defer r.Close()
+	r.jitterFrac, r.jitterSeed = j.cfg.JitterFrac, j.cfg.JitterSeed
+	h, err := r.submit(j, SubmitOpts{})
+	if err != nil {
 		return Report{}, err
 	}
-
-	err := s.Run()
-	rep := Report{Elapsed: s.Now(), NetPackets: j.net.PacketsSent, NetBytes: j.net.BytesSent}
-	j.fillReport(&rep)
-	return rep, err
+	if r.backend() == transport.BackendSim {
+		// A batch that ends early (deadlock, virtual-time cap, a kernel
+		// panic) fails the job with that error; Wait returns it.
+		_ = r.Run()
+	}
+	return h.Wait()
 }
 
-// buildSimNode constructs and starts one node's progress engine on the
-// given simulator (the job-wide one, or the owning shard's in a sharded
-// run). The world must already exist.
-func (j *Job) buildSimNode(n int, s *sim.Sim, rtv rt) *nodeState {
-	raw := func() transport.Transport {
-		if j.trFactory != nil {
-			return j.trFactory(n)
+// check is the one job check Run and Runtime.Submit share: a valid
+// Config, a CPU kernel when the cluster has CPU-kernel ranks, at least one
+// kernel thread to spawn (a runtime detects completion by its threads
+// exiting), and a backend that can run them.
+func (j *Job) check() error {
+	if j.cfgErr != nil {
+		return j.cfgErr
+	}
+	switch {
+	case j.cpuKernel == nil && j.gpuKernel == nil:
+		return fmt.Errorf("dcgn: no kernels installed")
+	case j.cpuKernel == nil && j.hasCPUs():
+		return fmt.Errorf("dcgn: CPU-kernel threads requested but no CPU kernel installed")
+	case j.gpuKernel == nil && !j.hasCPUs():
+		return fmt.Errorf("dcgn: GPUs requested but no GPU kernel installed (the job would spawn no kernel threads)")
+	}
+	if j.cfg.Transport.Name() == transport.BackendLive {
+		if j.hasGPUs() {
+			return fmt.Errorf("dcgn: live backend supports CPU kernels only (GPUs need the simulated device model)")
 		}
-		return simmpi.New(j.world.Rank(n))
-	}()
+		if j.cfg.JitterFrac > 0 {
+			return fmt.Errorf("dcgn: live backend has no virtual-time jitter model")
+		}
+	}
+	return nil
+}
+
+// startSim builds the job's engine over a simulated MPI world: one tenant
+// group over placement in the given tag band, a progress engine per
+// tenant-local node, then the kernels. on(n) gives node n's simulator and
+// the substrate its threads spawn through.
+func (j *Job) startSim(world *mpi.World, placement []int, tenant int, on func(n int) (*sim.Sim, rt)) {
+	g := simmpi.NewGroup(world, placement, tenant)
+	j.nodes = make([]*nodeState, len(placement))
+	for n := range placement {
+		s, rtv := on(n)
+		j.nodes[n] = j.buildSimNode(n, s, rtv, g.Endpoint(n))
+	}
+	j.spawnKernels()
+}
+
+// newNode constructs one node's progress engine over its raw transport
+// endpoint, wrapped in the configured middlewares; the caller adds the
+// backend's parts and starts it.
+func (j *Job) newNode(n int, rtv rt, raw transport.Transport) *nodeState {
 	ns := &nodeState{
 		job:    j,
 		node:   n,
 		rt:     rtv,
-		sim:    s,
 		tr:     j.wrapTransport(n, raw),
-		bus:    pcie.New(s, fmt.Sprintf("n%d", n), j.cfg.Bus),
 		intake: newIntake(rtv.NewQueue(fmt.Sprintf("commq:%d", n))),
 		index:  newMatchIndex(),
 	}
@@ -391,6 +410,16 @@ func (j *Job) buildSimNode(n int, s *sim.Sim, rtv rt) *nodeState {
 	if j.cfg.OneSided {
 		ns.initOneSided()
 	}
+	return ns
+}
+
+// buildSimNode constructs and starts one node's progress engine, PCIe bus
+// and devices on the given simulator (the runtime's, or the owning
+// shard's in a sharded run).
+func (j *Job) buildSimNode(n int, s *sim.Sim, rtv rt, raw transport.Transport) *nodeState {
+	ns := j.newNode(n, rtv, raw)
+	ns.sim = s
+	ns.bus = pcie.New(s, fmt.Sprintf("n%d", n), j.cfg.Bus)
 	for g := 0; g < j.rmap.Spec(n).GPUs; g++ {
 		devCfg := j.cfg.Device
 		devCfg.Name = fmt.Sprintf("gpu%d.%d", n, g)
@@ -408,22 +437,29 @@ func (j *Job) buildSimNode(n int, s *sim.Sim, rtv rt) *nodeState {
 	return ns
 }
 
-// spawnGPUKernels starts the per-device setup/launch/wait/teardown threads
-// on each node's own simulator.
-func (j *Job) spawnGPUKernels() error {
-	if j.gpuKernel == nil {
-		if j.hasGPUs() && j.cpuKernel == nil {
-			return fmt.Errorf("dcgn: GPUs requested but no GPU kernel installed")
+// spawnKernels starts one thread per CPU-kernel rank, then the per-device
+// setup/launch/wait/teardown threads, each through its node's rt so a
+// runtime's per-job proc accounting sees them all. check has already
+// refused jobs whose kernels do not match their ranks.
+func (j *Job) spawnKernels() {
+	if j.cpuKernel != nil {
+		for n := 0; n < j.cfg.Nodes; n++ {
+			for c := 0; c < j.rmap.Spec(n).CPUKernels; c++ {
+				ns := j.nodes[n]
+				rank := j.rmap.CPURank(n, c)
+				ns.rt.Spawn(fmt.Sprintf("cpu-kern:%d.%d", n, c), func(p transport.Proc) {
+					j.cpuKernel(&CPUCtx{job: j, ns: ns, tp: p, rank: rank})
+				})
+			}
 		}
-		return nil
+	}
+	if j.gpuKernel == nil {
+		return
 	}
 	for n := 0; n < j.cfg.Nodes; n++ {
 		for g := 0; g < j.rmap.Spec(n).GPUs; g++ {
 			ns := j.nodes[n]
 			gt := ns.gpus[g]
-			// Spawn through the node's rt (a 1:1 veneer over the simulator
-			// for a single job) so a multi-tenant runtime's per-job proc
-			// accounting sees GPU kernels too.
 			ns.rt.Spawn(fmt.Sprintf("gpu-kern:%d.%d", n, g), func(tp transport.Proc) {
 				p := tp.(*sim.Proc)
 				setup := &GPUSetup{Job: j, Node: ns.node, GPU: gt.index, Dev: gt.dev, Bus: ns.bus, Proc: p, Args: map[string]any{}}
@@ -441,13 +477,12 @@ func (j *Job) spawnGPUKernels() error {
 			})
 		}
 	}
-	return nil
 }
 
 // wrapTransport layers the configured middlewares over a node's raw
 // endpoint: the Config.WrapTransport hook first, then Config.Faults
 // outermost — faults perturb the fully-wrapped wire, exactly where a real
-// fabric would, and the outermost position is what fillReport type-asserts
+// fabric would, and the outermost position is what report type-asserts
 // for FaultStats.
 func (j *Job) wrapTransport(node int, tr transport.Transport) transport.Transport {
 	if j.cfg.WrapTransport != nil {
@@ -459,31 +494,11 @@ func (j *Job) wrapTransport(node int, tr transport.Transport) transport.Transpor
 	return tr
 }
 
-// spawnCPUKernels starts one thread per CPU-kernel rank on the job's
-// substrate (simulated procs or live goroutines).
-func (j *Job) spawnCPUKernels() error {
-	if j.cpuKernel == nil {
-		if j.hasCPUs() {
-			return fmt.Errorf("dcgn: CPU-kernel threads requested but no CPU kernel installed")
-		}
-		return nil
-	}
-	for n := 0; n < j.cfg.Nodes; n++ {
-		for c := 0; c < j.rmap.Spec(n).CPUKernels; c++ {
-			ns := j.nodes[n]
-			rank := j.rmap.CPURank(n, c)
-			ns.rt.Spawn(fmt.Sprintf("cpu-kern:%d.%d", n, c), func(p transport.Proc) {
-				j.cpuKernel(&CPUCtx{job: j, ns: ns, tp: p, rank: rank})
-			})
-		}
-	}
-	return nil
-}
-
-// fillReport assembles the backend-independent portion of a Report from
-// the per-node engine state (trace, node stats, bus/GPU aggregates, pool
-// accounting).
-func (j *Job) fillReport(rep *Report) {
+// report assembles the job's Report: elapsed time and wire totals from
+// the substrate it ran on, everything else from the per-node engine state
+// (trace, node stats, bus/GPU aggregates, pool accounting).
+func (j *Job) report(elapsed time.Duration, packets int, bytes int64) Report {
+	rep := Report{Elapsed: elapsed, NetPackets: packets, NetBytes: bytes}
 	if j.trace != nil {
 		rep.Trace = j.trace.spans()
 		rep.TraceDropped = j.trace.dropped()
@@ -547,7 +562,13 @@ func (j *Job) fillReport(rep *Report) {
 			rep.PollHits += gt.Hits
 		}
 	}
-	rep.PoolAcquires = j.pool.Acquires()
-	rep.PoolReleases = j.pool.Releases()
-	rep.PoolHits = j.pool.Hits()
+	rep.readPool(j.pool)
+	return rep
+}
+
+// readPool copies the pool counters into the report.
+func (rep *Report) readPool(p *bufpool.Pool) {
+	rep.PoolAcquires = p.Acquires()
+	rep.PoolReleases = p.Releases()
+	rep.PoolHits = p.Hits()
 }

@@ -30,35 +30,22 @@ func (j *Job) runShardedSim() (Report, error) {
 	// event loop owns a node, never event ordering, so Reports stay
 	// bit-identical across shard counts either way.
 	shardOf := fabric.ShardPartition(j.cfg.Net.Topology, j.cfg.Nodes, shards)
-	j.net = fabric.NewSharded(sc, j.cfg.Nodes, j.cfg.Net, shardOf)
-	sc.SetLookahead(j.net.Lookahead())
+	net := fabric.NewSharded(sc, j.cfg.Nodes, j.cfg.Net, shardOf)
+	sc.SetLookahead(net.Lookahead())
 	j.pool = bufpool.New()
 
-	nodeOf := make([]int, j.cfg.Nodes) // one underlying MPI rank per node
+	nodes := make([]int, j.cfg.Nodes) // one underlying MPI rank per node
 	sims := make([]*sim.Sim, j.cfg.Nodes)
-	for n := range nodeOf {
-		nodeOf[n] = n
+	for n := range nodes {
+		nodes[n] = n
 		sims[n] = sc.Shard(shardOf[n]).Sim()
 	}
 	mpiCfg := j.cfg.MPI
 	mpiCfg.Pool = j.pool
-	j.world = mpi.NewWorldSharded(sims, j.net, nodeOf, mpiCfg)
-
-	j.nodes = nil
-	for n := 0; n < j.cfg.Nodes; n++ {
-		j.nodes = append(j.nodes, j.buildSimNode(n, sims[n], simRT{s: sims[n]}))
-	}
-
-	if err := j.spawnCPUKernels(); err != nil {
-		return Report{}, err
-	}
-	if err := j.spawnGPUKernels(); err != nil {
-		return Report{}, err
-	}
+	world := mpi.NewWorldSharded(sims, net, nodes, mpiCfg)
+	j.startSim(world, nodes, 0, func(n int) (*sim.Sim, rt) { return sims[n], simRT{s: sims[n]} })
 
 	err := sc.Run()
-	pk, by := j.net.Totals()
-	rep := Report{Elapsed: sc.Elapsed(), NetPackets: pk, NetBytes: by}
-	j.fillReport(&rep)
-	return rep, err
+	pk, by := net.Totals()
+	return j.report(sc.Elapsed(), pk, by), err
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dcgn/internal/device"
+	"dcgn/internal/transport"
 )
 
 // cpuOnlyConfig returns a small CPU-only cluster.
@@ -741,14 +742,28 @@ func TestTraceRecordsRequestLifecycles(t *testing.T) {
 	}
 }
 
-// TestShardedConfigErrors: shard settings the sharded backend cannot run
-// come back from Job.Run as errors instead of panicking in NewJob.
+// TestShardedConfigErrors: configurations no backend can run — bad
+// shard settings and bad cluster shapes — come back from Job.Run and
+// Runtime.Submit as errors instead of panicking in NewJob.
 func TestShardedConfigErrors(t *testing.T) {
 	cases := map[string]func(*Config){
-		"negative shards": func(c *Config) { c.Shards = -1 },
-		"shards+jitter":   func(c *Config) { c.Shards, c.JitterFrac = 2, 0.1 },
-		"shards+faults":   func(c *Config) { c.Shards, c.Faults.Drop = 2, 0.1 },
+		"negative shards":       func(c *Config) { c.Shards = -1 },
+		"shards+jitter":         func(c *Config) { c.Shards, c.JitterFrac = 2, 0.1 },
+		"shards+faults":         func(c *Config) { c.Shards, c.Faults.Drop = 2, 0.1 },
+		"shards+live":           func(c *Config) { c.Shards, c.Transport.Backend = 2, transport.BackendLive },
+		"no nodes":              func(c *Config) { c.Nodes = 0 },
+		"PerNode length":        func(c *Config) { c.PerNode = []NodeSpec{{CPUKernels: 1}} },
+		"negative CPUs":         func(c *Config) { c.CPUKernels = -1 },
+		"negative GPUs":         func(c *Config) { c.GPUs = -2 },
+		"negative PerNode":      func(c *Config) { c.PerNode = []NodeSpec{{CPUKernels: 1}, {CPUKernels: 1, SlotsPerGPU: -1}} },
+		"node without ranks":    func(c *Config) { c.CPUKernels = 0 },
+		"PerNode without ranks": func(c *Config) { c.PerNode = []NodeSpec{{CPUKernels: 1}, {}} },
 	}
+	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 	for name, mutate := range cases {
 		cfg := cpuOnlyConfig(2, 1)
 		mutate(&cfg)
@@ -757,6 +772,12 @@ func TestShardedConfigErrors(t *testing.T) {
 		if _, err := job.Run(); err == nil || !strings.HasPrefix(err.Error(), "dcgn: ") {
 			t.Errorf("%s: Run returned %v, want a dcgn configuration error", name, err)
 		}
+		if _, err := r.Submit(job, SubmitOpts{}); err == nil || !strings.HasPrefix(err.Error(), "dcgn: ") {
+			t.Errorf("%s: Submit returned %v, want a dcgn configuration error", name, err)
+		}
+	}
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

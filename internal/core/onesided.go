@@ -427,7 +427,7 @@ func (ns *nodeState) runOneSidedReceiver(p transport.Proc) {
 			panic(fmt.Sprintf("dcgn: one-sided receiver on node %d: %v", ns.node, err))
 		}
 		f, err := unmarshal(raw, laneOneSided, ns.flowsOn)
-		if err != nil {
+		if err != nil || !ns.addressedHere(&f) {
 			ns.dropFrame(raw)
 			continue
 		}

@@ -256,24 +256,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// validate panics on nonsensical configurations.
-func (c *Config) validate() {
+// validate normalizes the configuration in place and reports the first
+// setting no backend can run: no nodes, a PerNode list of the wrong
+// length, or a shard setting the sharded backend cannot honor. The rank
+// map reports the per-node shapes (negative resource counts, no ranks).
+// NewJob keeps the error and Job.Run / Runtime.Submit return it.
+func (c *Config) validate() error {
 	if c.Nodes <= 0 {
-		panic("core: need at least one node")
+		return fmt.Errorf("dcgn: need at least one node, got %d", c.Nodes)
 	}
 	if len(c.PerNode) > 0 && len(c.PerNode) != c.Nodes {
-		panic("core: PerNode length must equal Nodes")
+		return fmt.Errorf("dcgn: PerNode lists %d nodes, Nodes is %d", len(c.PerNode), c.Nodes)
 	}
-	if len(c.PerNode) == 0 {
-		if c.CPUKernels < 0 || c.GPUs < 0 || c.SlotsPerGPU < 0 {
-			panic("core: negative resource count")
-		}
-		if c.GPUs > 0 && c.SlotsPerGPU == 0 {
-			c.SlotsPerGPU = 1 // paper: "each DPM has at least one slot"
-		}
-		if c.CPUKernels+c.GPUs*c.SlotsPerGPU == 0 {
-			panic("core: node contributes no ranks")
-		}
+	if len(c.PerNode) == 0 && c.GPUs > 0 && c.SlotsPerGPU == 0 {
+		c.SlotsPerGPU = 1 // paper: "each DPM has at least one slot"
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 120 * time.Microsecond
@@ -311,14 +307,11 @@ func (c *Config) validate() {
 	if c.Flows {
 		c.Trace = true
 	}
-}
-
-// shardError reports a shard setting the sharded backend cannot run;
-// Job.Run returns it instead of running.
-func (c *Config) shardError() error {
 	switch {
 	case c.Shards < 0:
 		return fmt.Errorf("dcgn: negative shard count %d", c.Shards)
+	case c.Shards > 0 && c.Transport.Name() != transport.BackendSim:
+		return errors.New("dcgn: sharded runs need the simulated backend (the live backend has no virtual clock to window)")
 	case c.Shards > 0 && c.JitterFrac > 0:
 		return errors.New("dcgn: sharded runs do not support jitter (per-shard rng draws would depend on the shard count)")
 	case c.Shards > 0 && c.Faults.Enabled():

@@ -16,17 +16,17 @@ type NodeSpec struct {
 // ranks returns how many virtual ranks the node owns.
 func (s NodeSpec) ranks() int { return s.CPUKernels + s.GPUs*s.SlotsPerGPU }
 
-// validate panics on nonsensical node shapes.
-func (s NodeSpec) validate(node int) {
-	if s.CPUKernels < 0 || s.GPUs < 0 || s.SlotsPerGPU < 0 {
-		panic(fmt.Sprintf("core: node %d has negative resource counts", node))
+// check reports a nonsensical node shape.
+func (s NodeSpec) check(node int) error {
+	switch {
+	case s.CPUKernels < 0 || s.GPUs < 0 || s.SlotsPerGPU < 0:
+		return fmt.Errorf("dcgn: node %d has negative resource counts", node)
+	case s.GPUs > 0 && s.SlotsPerGPU == 0:
+		return fmt.Errorf("dcgn: node %d has GPUs but zero slots (each DPM has at least one slot)", node)
+	case s.ranks() == 0:
+		return fmt.Errorf("dcgn: node %d contributes no ranks", node)
 	}
-	if s.GPUs > 0 && s.SlotsPerGPU == 0 {
-		panic(fmt.Sprintf("core: node %d has GPUs but zero slots (each DPM has at least one slot)", node))
-	}
-	if s.ranks() == 0 {
-		panic(fmt.Sprintf("core: node %d contributes no ranks", node))
-	}
+	return nil
 }
 
 // RankMap implements the paper's rank-assignment rule (§3.2.3): every node
@@ -41,19 +41,31 @@ type RankMap struct {
 	total int
 }
 
-// NewRankMap builds the assignment for the given per-node shapes.
+// NewRankMap builds the assignment for the given per-node shapes; it
+// panics on an empty or nonsensical shape.
 func NewRankMap(specs []NodeSpec) RankMap {
-	if len(specs) == 0 {
-		panic("core: rank map needs at least one node")
+	m, err := newRankMap(append([]NodeSpec(nil), specs...))
+	if err != nil {
+		panic(err.Error())
 	}
-	m := RankMap{specs: append([]NodeSpec(nil), specs...)}
-	m.base = make([]int, len(specs))
+	return m
+}
+
+// newRankMap builds the assignment over specs, which it keeps, and
+// reports an empty or nonsensical shape (NewJob returns it from Run).
+func newRankMap(specs []NodeSpec) (RankMap, error) {
+	if len(specs) == 0 {
+		return RankMap{}, fmt.Errorf("dcgn: rank map needs at least one node")
+	}
+	m := RankMap{specs: specs, base: make([]int, len(specs))}
 	for i, s := range specs {
-		s.validate(i)
+		if err := s.check(i); err != nil {
+			return RankMap{}, err
+		}
 		m.base[i] = m.total
 		m.total += s.ranks()
 	}
-	return m
+	return m, nil
 }
 
 // NewUniformRankMap builds a homogeneous assignment (the paper's testbed).

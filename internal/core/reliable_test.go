@@ -93,73 +93,99 @@ func TestReliableCleanWire(t *testing.T) {
 	})
 }
 
-// corruptFirstData wraps a transport and overwrites the payload-length
-// field of the first sequenced data frame it receives with 2^63 — a length
-// that wraps negative when read as a signed int. done is shared by every
-// node's wrapper, so exactly one frame per job is corrupted.
+// corruptFirstData wraps a transport and overwrites one 8-byte header
+// field (at byte offset at) of the first sequenced data frame it receives
+// with val. done is shared by every node's wrapper, so exactly one frame
+// per job is corrupted.
 type corruptFirstData struct {
 	transport.Transport
 	done *atomic.Bool
+	at   int
+	val  uint64
 }
 
 func (c *corruptFirstData) RecvMsg(p transport.Proc) ([]byte, error) {
 	msg, err := c.Transport.RecvMsg(p)
 	if err == nil && len(msg) >= seqHeaderLen && frameKind(binary.LittleEndian.Uint32(msg[32:])) == kindData && c.done.CompareAndSwap(false, true) {
-		binary.LittleEndian.PutUint64(msg[16:], 1<<63)
+		binary.LittleEndian.PutUint64(msg[c.at:], c.val)
 	}
 	return msg, err
 }
 
 // corruptFirstDataHook is the Config.WrapTransport hook installing
-// corruptFirstData on every node.
+// corruptFirstData on every node; the default corruption sets the
+// payload length to 2^63, which wraps negative when read as a signed int.
 func corruptFirstDataHook() func(transport.Transport) transport.Transport {
+	return corruptFieldHook(16, 1<<63)
+}
+
+// corruptFieldHook is corruptFirstDataHook for any header field and
+// value.
+func corruptFieldHook(at int, val uint64) func(transport.Transport) transport.Transport {
 	done := new(atomic.Bool)
 	return func(tr transport.Transport) transport.Transport {
-		return &corruptFirstData{Transport: tr, done: done}
+		return &corruptFirstData{Transport: tr, done: done, at: at, val: val}
 	}
 }
 
-// TestReliableDropsMalformedFrame corrupts the length field of the first
-// inbound data frame: the receiver must drop and count it instead of
-// crashing the node, and the sender's retransmission must repair the gap
-// so every payload still arrives intact.
+// TestReliableDropsMalformedFrame corrupts one header field of the first
+// inbound data frame: a length of 2^63, or ranks that parse but do not
+// fit (a src outside the job, a dst outside the job or not resident on
+// the receiving node). The receiver must drop and count the frame instead
+// of crashing the node, and the sender's retransmission must repair the
+// gap so every payload still arrives intact.
 func TestReliableDropsMalformedFrame(t *testing.T) {
+	rows := []struct {
+		name string
+		at   int
+		val  int64
+	}{
+		{"length-2^63", 16, -1 << 63},
+		{"src-beyond-job", 0, 2},
+		{"src-negative", 0, -1},
+		{"dst-beyond-job", 8, 7},
+		{"dst-on-other-node", 8, 0}, // rank 0 lives on node 0; the frame reaches node 1
+	}
 	forEachBackend(t, func(t *testing.T, backend string) {
-		const msgs = 6
-		cfg := reliableConfig(backend, faults.Config{})
-		cfg.WrapTransport = corruptFirstDataHook()
-		job := NewJob(cfg)
-		job.SetCPUKernel(func(c *CPUCtx) {
-			peer := 1 - c.Rank()
-			for i := 0; i < msgs; i++ {
-				buf := pattern(100+i, byte(i))
-				if c.Rank() == 0 {
-					if err := c.Send(peer, buf); err != nil {
-						t.Error(err)
+		for _, row := range rows {
+			t.Run(row.name, func(t *testing.T) {
+				const msgs = 6
+				cfg := reliableConfig(backend, faults.Config{})
+				cfg.WrapTransport = corruptFieldHook(row.at, uint64(row.val))
+				job := NewJob(cfg)
+				job.SetCPUKernel(func(c *CPUCtx) {
+					peer := 1 - c.Rank()
+					for i := 0; i < msgs; i++ {
+						buf := pattern(100+i, byte(i))
+						if c.Rank() == 0 {
+							if err := c.Send(peer, buf); err != nil {
+								t.Error(err)
+							}
+							continue
+						}
+						got := make([]byte, len(buf))
+						if _, err := c.Recv(peer, got); err != nil {
+							t.Error(err)
+						}
+						if !bytes.Equal(got, buf) {
+							t.Errorf("message %d corrupted", i)
+						}
 					}
-					continue
+				})
+				rep, err := job.Run()
+				if err != nil {
+					t.Fatal(err)
 				}
-				got := make([]byte, len(buf))
-				if _, err := c.Recv(peer, got); err != nil {
-					t.Error(err)
+				if rep.DecodeErrors != 1 {
+					t.Errorf("DecodeErrors = %d, want 1", rep.DecodeErrors)
 				}
-				if !bytes.Equal(got, buf) {
-					t.Errorf("message %d corrupted", i)
+				if rep.Retransmits < 1 {
+					t.Errorf("dropped frame was never retransmitted")
 				}
-			}
-		})
-		rep, err := job.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.DecodeErrors != 1 {
-			t.Errorf("DecodeErrors = %d, want 1", rep.DecodeErrors)
-		}
-		if rep.Retransmits < 1 {
-			t.Errorf("dropped frame was never retransmitted")
-		}
-		if rep.PoolAcquires != rep.PoolReleases {
-			t.Errorf("pool leak: %d acquires vs %d releases", rep.PoolAcquires, rep.PoolReleases)
+				if rep.PoolAcquires != rep.PoolReleases {
+					t.Errorf("pool leak: %d acquires vs %d releases", rep.PoolAcquires, rep.PoolReleases)
+				}
+			})
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dcgn/internal/bufpool"
@@ -14,12 +13,11 @@ import (
 	"dcgn/internal/sim"
 	"dcgn/internal/transport"
 	"dcgn/internal/transport/live"
-	"dcgn/internal/transport/simmpi"
 )
 
-// Runtime hosts many concurrent DCGN jobs over one shared backend — the
-// multi-tenant generalization of Job.Run (which is exactly a runtime of
-// one: the whole cluster, one tenant, admitted immediately). Jobs are
+// Runtime hosts many concurrent DCGN jobs over one shared backend. Job.Run
+// is a runtime of one: a runtime sized to the job, which it admits
+// immediately onto the whole cluster. Jobs are
 // submitted with a tenant label, weight and priority; the runtime admits
 // them onto free nodes under stride-based weighted fair sharing, queues
 // them (bounded, never silently dropped) when the cluster is saturated,
@@ -54,31 +52,31 @@ type Runtime struct {
 	jobs    []*rtJob
 	queue   []*rtJob
 	tenants map[string]*tenantState
-	// free / freeNodes track node occupancy. The simulated backend needs
-	// real node identities (fabric distances are id-based); the live
-	// backend's nodes are interchangeable goroutines, so only the count
-	// matters there.
+	// free / freeNodes track node occupancy. Placements are concrete node
+	// ids on both backends: the simulated fabric's distances are id-based,
+	// while the live backend's nodes are interchangeable goroutines.
 	free      []bool
 	freeNodes int
 	draining  bool
 	closed    bool
 	templates map[string]func() *Job
+	// admitting is set while an admission round runs, so a job that ends
+	// inside it (a failed live Join) does not start a nested round.
+	admitting bool
 
 	obsParts *obs.Partitioned
 	debug    debugServer
 
 	// Live substrate: one shared cluster, one tenant group per job.
-	pool    *bufpool.Pool
 	cluster *live.Cluster
 	wg      sync.WaitGroup
 
 	// Simulated substrate, built by Run: one simulator, fabric and MPI
 	// world shared by every tenant.
-	sim     *sim.Sim
-	net     *fabric.Network
-	world   *mpi.World
-	simPool *bufpool.Pool
-	ran     bool
+	sim   *sim.Sim
+	net   *fabric.Network
+	world *mpi.World
+	ran   bool
 	// simActive is true while Run is driving the simulator; it gates the
 	// sim-context-only paths (mid-batch Submit from an OnJobDone callback,
 	// Cancel of a running simulated job).
@@ -86,6 +84,11 @@ type Runtime struct {
 	// scheduled holds SubmitAt submissions awaiting their virtual arrival
 	// time; Run turns each into an arrival proc.
 	scheduled []*rtJob
+	// jitterFrac / jitterSeed perturb the simulator's timing (Config's
+	// jitter fields). Only Job.Run sets them: jitter moves the clock every
+	// tenant shares, so Submit refuses jittered jobs.
+	jitterFrac float64
+	jitterSeed int64
 
 	// sched is the runtime-wide scheduling registry (queue-wait and
 	// end-to-end latency histograms, admission counters), aggregate and
@@ -268,22 +271,30 @@ type rtJob struct {
 	// reaches it.
 	notBefore time.Duration
 
-	// placement / simGroup are the simulated backend's node assignment and
-	// tenant transport group.
+	// placement is the job's node assignment.
 	placement []int
-	simGroup  *simmpi.Group
-	// simProcs holds every worker proc the job spawned on the shared
-	// simulator, so a running job can be torn down by Cancel. Appended in
-	// sim context, drained by the cancel injection; dead procs are
-	// harmless leftovers (Kill skips them).
-	simProcs []*sim.Proc
-	// procs counts live engine procs (kernels and the helpers their
-	// requests spawn) on the simulated backend; the zero-crossing after
-	// kernels spawn is the job's completion point. finished latches the
-	// first crossing — a straggling post-completion helper (a re-ack for a
-	// duplicate frame) must not finish the job twice.
-	procs    atomic.Int64
-	finished bool
+	// wirePackets / wireBytes are the placement's fabric send counters at
+	// admission (simulated backend): the job's wire totals are the growth
+	// from there to its end.
+	wirePackets int
+	wireBytes   int64
+	// pool is the job's staging pool on the simulated backend, kept after
+	// the job ends: a frame still on the wire then (a duplicate, say) is
+	// released into it later, so Run re-reads its counters into the Report
+	// once the batch has drained.
+	pool *bufpool.Pool
+	// simProcs holds the job's live worker procs on the shared simulator
+	// (kernels and the helpers their requests spawn), so a running job can
+	// be torn down by Cancel. A proc's slot is freed for reuse when it
+	// exits (freeSlots), so the table is as long as the most procs ever
+	// alive at once. Touched only in sim context. The live count's
+	// zero-crossing after kernels spawn is the job's completion point;
+	// finished latches the first crossing — a straggling post-completion
+	// helper (a re-ack for a duplicate frame) must not finish the job
+	// twice.
+	simProcs  []*sim.Proc
+	freeSlots []int
+	finished  bool
 
 	partKey string
 
@@ -318,7 +329,9 @@ func (h *JobHandle) ID() int { return h.j.id }
 
 // Wait blocks until the job reaches a terminal state and returns its
 // Report. On the simulated backend jobs only execute inside Runtime.Run,
-// so Wait resolves during (or after) that call.
+// so Wait resolves during (or after) that call; the Report's pool
+// counters are final once Run has returned (a frame still on the wire
+// when the job ends is released later).
 func (h *JobHandle) Wait() (Report, error) {
 	<-h.j.done
 	h.r.mu.Lock()
@@ -357,8 +370,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	}
 	r.sched = r.obsParts.Partition("runtime")
 	if cfg.Transport.Name() == transport.BackendLive {
-		r.pool = bufpool.New()
-		r.cluster = live.New(cfg.Nodes, r.pool)
+		r.cluster = live.New()
 	}
 	if err := r.startControl(); err != nil {
 		return nil, err
@@ -374,8 +386,9 @@ func (r *Runtime) backend() string { return r.cfg.Transport.Name() }
 // failed, canceled, or shed at its virtual arrival time). It must be set
 // before Run (simulated) or before the first Submit (live). On the
 // simulated backend the callback runs in sim context and may Submit
-// follow-up jobs mid-batch — the closed-loop arrival hook; spawn-failure
-// and post-Run sweep terminations do not fire it.
+// follow-up jobs mid-batch — the closed-loop arrival hook. A job that
+// fails admission (its live group cannot join) and jobs the post-Run
+// sweep ends do not fire it.
 func (r *Runtime) SetOnJobDone(fn func(JobStatus)) { r.onJobDone = fn }
 
 // SchedSnapshot copies the runtime-wide scheduling registry: queue_wait_ns
@@ -453,10 +466,17 @@ func (r *Runtime) now() time.Duration {
 // simulated backend per-job fault injection and jitter are too (they
 // would perturb co-tenants; run those jobs exclusively via Job.Run).
 func (r *Runtime) Submit(job *Job, opts SubmitOpts) (*JobHandle, error) {
-	if job == nil {
-		return nil, fmt.Errorf("dcgn: Submit needs a job")
+	if err := r.checkTenancy(job); err != nil {
+		return nil, err
 	}
-	if err := r.checkSubmittable(job); err != nil {
+	return r.submit(job, opts)
+}
+
+// submit is Submit without the tenancy rules: Job.Run submits through it
+// to a runtime of its own, where a debug endpoint, fault injection or
+// jitter disturb no other tenant.
+func (r *Runtime) submit(job *Job, opts SubmitOpts) (*JobHandle, error) {
+	if err := r.checkJob(job); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
@@ -474,38 +494,10 @@ func (r *Runtime) Submit(job *Job, opts SubmitOpts) (*JobHandle, error) {
 		r.sched.Counter("jobs_rejected").Add(1)
 		return nil, ErrQueueFull
 	}
-	r.nextID++ // ids start at 1: tenant 0 is the single-job compatibility band
-	c := &rtJob{
-		id:       r.nextID,
-		name:     opts.Name,
-		tenant:   opts.Tenant,
-		weight:   opts.Weight,
-		priority: opts.Priority,
-		job:      job,
-		state:    JobQueued,
-		done:     make(chan struct{}),
-		cancelCh: make(chan struct{}),
-	}
-	if c.name == "" {
-		c.name = fmt.Sprintf("job-%d", c.id)
-	}
-	if c.tenant == "" {
-		c.tenant = c.name
-	}
-	if c.weight <= 0 {
-		c.weight = 1
-	}
-	c.submittedAt = r.now()
-	r.ensureTenantLocked(c.tenant, c.weight)
-	r.jobs = append(r.jobs, c)
+	c := r.newJobLocked(job, opts, r.now())
 	r.queue = append(r.queue, c)
 	r.schedEnqueuedLocked(c)
-	switch {
-	case r.backend() == transport.BackendLive:
-		r.admitLiveLocked()
-	case r.simActive:
-		r.admitSimLocked()
-	}
+	r.admitLocked()
 	return &JobHandle{r: r, j: c}, nil
 }
 
@@ -518,16 +510,16 @@ func (r *Runtime) Submit(job *Job, opts SubmitOpts) (*JobHandle, error) {
 // replays it deterministically. Arrivals keep the simulation alive until
 // they fire, so gaps in the schedule cannot end the batch early.
 func (r *Runtime) SubmitAt(job *Job, opts SubmitOpts, at time.Duration) (*JobHandle, error) {
-	if job == nil {
-		return nil, fmt.Errorf("dcgn: SubmitAt needs a job")
-	}
 	if r.backend() != transport.BackendSim {
 		return nil, fmt.Errorf("dcgn: SubmitAt is virtual-time scheduling; the live backend paces submissions on the wall clock")
 	}
 	if at < 0 {
 		at = 0
 	}
-	if err := r.checkSubmittable(job); err != nil {
+	if err := r.checkTenancy(job); err != nil {
+		return nil, err
+	}
+	if err := r.checkJob(job); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
@@ -538,18 +530,28 @@ func (r *Runtime) SubmitAt(job *Job, opts SubmitOpts, at time.Duration) (*JobHan
 	if r.ran {
 		return nil, fmt.Errorf("dcgn: simulated runtime is batch-mode: schedule arrivals before Run")
 	}
+	c := r.newJobLocked(job, opts, at)
+	r.scheduled = append(r.scheduled, c)
+	return &JobHandle{r: r, j: c}, nil
+}
+
+// newJobLocked registers one submission, queued as of at (its arrival
+// time for SubmitAt), and opens its tenant's stride account. Ids start at
+// 1.
+func (r *Runtime) newJobLocked(job *Job, opts SubmitOpts, at time.Duration) *rtJob {
 	r.nextID++
 	c := &rtJob{
-		id:        r.nextID,
-		name:      opts.Name,
-		tenant:    opts.Tenant,
-		weight:    opts.Weight,
-		priority:  opts.Priority,
-		job:       job,
-		state:     JobQueued,
-		notBefore: at,
-		done:      make(chan struct{}),
-		cancelCh:  make(chan struct{}),
+		id:          r.nextID,
+		name:        opts.Name,
+		tenant:      opts.Tenant,
+		weight:      opts.Weight,
+		priority:    opts.Priority,
+		job:         job,
+		state:       JobQueued,
+		submittedAt: at,
+		notBefore:   at,
+		done:        make(chan struct{}),
+		cancelCh:    make(chan struct{}),
 	}
 	if c.name == "" {
 		c.name = fmt.Sprintf("job-%d", c.id)
@@ -560,11 +562,9 @@ func (r *Runtime) SubmitAt(job *Job, opts SubmitOpts, at time.Duration) (*JobHan
 	if c.weight <= 0 {
 		c.weight = 1
 	}
-	c.submittedAt = at
 	r.ensureTenantLocked(c.tenant, c.weight)
 	r.jobs = append(r.jobs, c)
-	r.scheduled = append(r.scheduled, c)
-	return &JobHandle{r: r, j: c}, nil
+	return c
 }
 
 // arriveSimJob moves a scheduled job into the admission queue at its
@@ -580,71 +580,53 @@ func (r *Runtime) arriveSimJob(c *rtJob, now time.Duration) {
 	c.submittedAt = now
 	r.ensureTenantLocked(c.tenant, c.weight)
 	if len(r.queue) >= r.cfg.MaxQueue {
-		c.state = JobFailed
-		c.err = ErrQueueFull
-		c.finishedAt = now
-		r.schedFinishedLocked(c)
+		r.endLocked(c, Report{}, ErrQueueFull)
 		r.mu.Unlock()
-		close(c.done)
 		r.notifyJobDone(c)
 		return
 	}
 	r.queue = append(r.queue, c)
 	r.schedEnqueuedLocked(c)
-	r.admitSimLocked()
+	r.admitLocked()
 	r.mu.Unlock()
 }
 
-// checkSubmittable validates a job against the runtime's substrate.
-func (r *Runtime) checkSubmittable(job *Job) error {
-	cfg := job.Config()
-	if job.cpuKernel == nil && job.gpuKernel == nil {
-		return fmt.Errorf("dcgn: no kernels installed")
+// checkJob validates a job against the runtime's substrate: the job check
+// every run passes (Job.check), a matching backend, and a node count the
+// cluster can hold.
+func (r *Runtime) checkJob(job *Job) error {
+	if err := job.check(); err != nil {
+		return err
 	}
+	cfg := job.Config()
 	if cfg.Transport.Name() != r.backend() {
 		return fmt.Errorf("dcgn: job backend %q does not match runtime backend %q", cfg.Transport.Name(), r.backend())
 	}
 	if cfg.Nodes > r.cfg.Nodes {
 		return fmt.Errorf("dcgn: job wants %d nodes, runtime has %d", cfg.Nodes, r.cfg.Nodes)
 	}
-	if cfg.Shards > 0 {
+	return nil
+}
+
+// checkTenancy applies the rules of sharing a runtime: runtime-wide
+// concerns belong to the runtime, and on the simulated backend a job may
+// not perturb the clock and wire its co-tenants share.
+func (r *Runtime) checkTenancy(job *Job) error {
+	if job == nil {
+		return fmt.Errorf("dcgn: Submit needs a job")
+	}
+	cfg := job.Config()
+	switch {
+	case cfg.Shards > 0:
 		return fmt.Errorf("dcgn: sharded jobs run exclusively (Job.Run), not under a runtime")
-	}
-	if err := cfg.shardError(); err != nil {
-		return err
-	}
-	if cfg.DebugAddr != "" {
+	case cfg.DebugAddr != "":
 		return fmt.Errorf("dcgn: the runtime owns the debug endpoint; clear the job's DebugAddr")
-	}
-	counted := 0
-	if job.cpuKernel != nil {
-		for n := 0; n < job.rmap.Nodes(); n++ {
-			counted += job.rmap.Spec(n).CPUKernels
-		}
-	}
-	if job.gpuKernel != nil {
-		for n := 0; n < job.rmap.Nodes(); n++ {
-			counted += job.rmap.Spec(n).GPUs
-		}
-	}
-	if counted == 0 {
-		return fmt.Errorf("dcgn: job spawns no kernel threads (its completion would be undetectable)")
-	}
-	switch r.backend() {
-	case transport.BackendSim:
-		if cfg.Faults.Enabled() {
-			return fmt.Errorf("dcgn: per-job fault injection is exclusive-mode only on the simulated backend (it perturbs co-tenant determinism)")
-		}
-		if cfg.JitterFrac > 0 || cfg.JitterSeed != 0 {
-			return fmt.Errorf("dcgn: per-job jitter is exclusive-mode only (the virtual clock is runtime-wide)")
-		}
-	case transport.BackendLive:
-		if job.hasGPUs() {
-			return fmt.Errorf("dcgn: live backend supports CPU kernels only (GPUs need the simulated device model)")
-		}
-		if cfg.JitterFrac > 0 {
-			return fmt.Errorf("dcgn: live backend has no virtual-time jitter model")
-		}
+	case r.backend() != transport.BackendSim:
+		return nil
+	case cfg.Faults.Enabled():
+		return fmt.Errorf("dcgn: per-job fault injection is exclusive-mode only on the simulated backend (it perturbs co-tenant determinism)")
+	case cfg.JitterFrac > 0 || cfg.JitterSeed != 0:
+		return fmt.Errorf("dcgn: per-job jitter is exclusive-mode only (the virtual clock is runtime-wide)")
 	}
 	return nil
 }
@@ -741,13 +723,14 @@ func (r *Runtime) chargeTenantLocked(c *rtJob) {
 }
 
 // setupObsLocked wires the job's trace sink and its tenant metrics
-// partition (dropped again after the final Report snapshot).
+// partition (dropped again when the job ends). A job run solo arrives
+// with both already made by Job.Run, whose debug endpoint serves them.
 func (r *Runtime) setupObsLocked(c *rtJob) {
 	j := c.job
-	if j.cfg.Trace {
+	if j.cfg.Trace && j.trace == nil {
 		j.trace = newTraceSink(j.cfg.Nodes, j.rmap.Total(), j.cfg.TraceCap, j.cfg.Flows)
 	}
-	if j.cfg.Metrics {
+	if j.cfg.Metrics && j.metrics == nil {
 		c.partKey = fmt.Sprintf("%s/job-%d", c.tenant, c.id)
 		j.metrics = r.obsParts.Partition(c.partKey)
 	}
@@ -805,16 +788,8 @@ func (r *Runtime) Cancel(id int) error {
 	switch c.state {
 	case JobQueued:
 		r.dequeueLocked(c)
-		c.state = JobCanceled
-		c.err = ErrJobCanceled
-		c.finishedAt = r.now()
-		r.schedFinishedLocked(c)
-		if r.backend() == transport.BackendLive {
-			// The canceled job may have been the blocked head of line.
-			r.admitLiveLocked()
-		}
+		r.endLocked(c, Report{}, ErrJobCanceled)
 		r.mu.Unlock()
-		close(c.done)
 		r.notifyJobDone(c)
 		return nil
 	case JobRunning:
@@ -837,12 +812,11 @@ func (r *Runtime) Cancel(id int) error {
 
 // cancelSimJobNow tears down a running simulated job. It executes in
 // scheduler context (via sim.Inject) at an event boundary, where no proc
-// is mid-step: every worker proc the job spawned is killed (their defers
-// release staging state; pending timers for dead procs become no-ops),
-// the partial Report is assembled exactly like a completion, and the
-// freed nodes admit successors at the current virtual time. The job's
-// engine daemons stay parked in their tag band, which is the same
-// harmless leftover failAdmittedSimLocked documents.
+// is mid-step: every worker proc the job has alive is killed (pending
+// timers for dead procs become no-ops), the partial Report is assembled
+// exactly like a completion, and the freed nodes admit successors at the
+// current virtual time. The job's engine daemons stay parked in their tag
+// band, harmless to the nodes' next tenants.
 func (r *Runtime) cancelSimJobNow(c *rtJob) {
 	r.mu.Lock()
 	if c.state != JobRunning || c.finished {
@@ -850,29 +824,40 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 		r.mu.Unlock()
 		return
 	}
-	// Latch finished first: killed procs still run their deferred exit(),
-	// and the zero-crossing there must not double-finish the job.
+	// Latch finished first, so nothing the teardown runs finishes the job.
 	c.finished = true
-	procs := c.simProcs
-	c.simProcs = nil
+	procs := append([]*sim.Proc(nil), c.simProcs...)
 	r.mu.Unlock()
 
 	for _, p := range procs {
-		r.sim.Kill(p)
+		if p != nil {
+			r.sim.Kill(p)
+		}
 	}
-
-	rep := Report{
-		Elapsed:    r.sim.Now() - c.startedAt,
-		NetPackets: int(c.simGroup.Packets()),
-		NetBytes:   c.simGroup.Bytes(),
-	}
-	c.job.fillReport(&rep)
-
+	rep := r.simReport(c)
 	r.mu.Lock()
-	c.report = rep
-	c.state = JobCanceled
-	c.err = ErrJobCanceled
-	c.finishedAt = r.sim.Now()
+	r.endLocked(c, rep, ErrJobCanceled)
+	r.mu.Unlock()
+	r.notifyJobDone(c)
+}
+
+// endLocked is the one terminal transition: it settles c with its Report
+// and error (nil: done; ErrJobCanceled: canceled; anything else: failed),
+// counts the outcome, drops its metrics partition, returns its nodes,
+// releases its engine state and resolves its handle. Freed nodes, or a
+// canceled head of the live queue, start an admission round. The caller
+// runs notifyJobDone after unlocking where the OnJobDone contract asks.
+func (r *Runtime) endLocked(c *rtJob, rep Report, err error) {
+	switch {
+	case err == nil:
+		c.state = JobDone
+	case errors.Is(err, ErrJobCanceled):
+		c.state = JobCanceled
+	default:
+		c.state = JobFailed
+	}
+	c.report, c.err = rep, err
+	c.finishedAt = r.now()
 	r.schedFinishedLocked(c)
 	if c.partKey != "" {
 		r.obsParts.Drop(c.partKey)
@@ -881,10 +866,24 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 		r.free[n] = true
 	}
 	r.freeNodes += len(c.placement)
-	r.admitSimLocked()
-	r.mu.Unlock()
+	// The Report owns the spans and counters now. The engine state goes,
+	// so a long-lived runtime keeps only what List, Wait and the flows
+	// endpoint read. On the simulated backend the pool stays (c.pool)
+	// until the batch drains: the job's parked daemons may still release
+	// a late frame into it. A canceled or timed-out live run may leave
+	// kernels blocked for good that still reach the job's sinks and pool,
+	// so only a clean live run gives those up.
+	j := c.job
+	j.nodes = nil
+	if r.backend() == transport.BackendSim {
+		j.trace, j.metrics = nil, nil
+	} else if err == nil {
+		j.trace, j.metrics, j.pool = nil, nil, nil
+	}
 	close(c.done)
-	r.notifyJobDone(c)
+	if len(c.placement) > 0 || r.backend() == transport.BackendLive {
+		r.admitLocked()
+	}
 }
 
 // Drain stops admitting new submissions and blocks until every accepted
@@ -915,12 +914,20 @@ func (r *Runtime) Close() error {
 	return nil
 }
 
-// --- Live admission ------------------------------------------------------
+// --- Admission -----------------------------------------------------------
 
-// admitLiveLocked starts every queued job that fits, best-candidate
-// first, each on its own goroutine over a fresh tenant group of the
-// shared cluster.
-func (r *Runtime) admitLiveLocked() {
+// admitLocked starts every queued job that fits, best candidate first, on
+// the lowest free node ids: a live job on its own goroutine over a fresh
+// tenant group of the shared cluster, a simulated job in the running
+// batch. It is a no-op on a closed live runtime, outside a running batch
+// and inside another admission round (which picks up freed nodes itself).
+func (r *Runtime) admitLocked() {
+	onLive := r.backend() == transport.BackendLive
+	if r.admitting || (onLive && r.closed) || (!onLive && !r.simActive) {
+		return
+	}
+	r.admitting = true
+	defer func() { r.admitting = false }()
 	for {
 		c := r.pickLocked()
 		if c == nil || c.job.cfg.Nodes > r.freeNodes {
@@ -928,60 +935,49 @@ func (r *Runtime) admitLiveLocked() {
 		}
 		r.dequeueLocked(c)
 		r.chargeTenantLocked(c)
-		n := c.job.cfg.Nodes
-		r.freeNodes -= n
+		c.placement = make([]int, 0, c.job.cfg.Nodes)
+		for n := 0; n < len(r.free) && len(c.placement) < c.job.cfg.Nodes; n++ {
+			if r.free[n] {
+				r.free[n] = false
+				c.placement = append(c.placement, n)
+			}
+		}
+		r.freeNodes -= len(c.placement)
 		c.state = JobRunning
 		c.startedAt = r.now()
 		r.schedAdmittedLocked(c)
-		c.job.pool = bufpool.New()
-		g, err := r.cluster.Join(c.id, n, c.job.pool)
-		if err != nil {
-			c.state = JobFailed
-			c.err = err
-			c.finishedAt = r.now()
-			r.freeNodes += n
-			close(c.done)
-			continue
+		if onLive {
+			r.startLiveLocked(c)
+		} else {
+			r.startSimLocked(c)
 		}
-		r.setupObsLocked(c)
-		r.wg.Add(1)
-		go r.runLiveJob(c, g)
 	}
 }
 
-// runLiveJob executes one admitted job over its tenant group and then
-// frees its nodes, triggering the next admission round.
+// --- Live execution ------------------------------------------------------
+
+// startLiveLocked joins an admitted job's tenant group and runs it on its
+// own goroutine.
+func (r *Runtime) startLiveLocked(c *rtJob) {
+	c.job.pool = bufpool.New()
+	g, err := r.cluster.Join(c.id, len(c.placement), c.job.pool)
+	if err != nil {
+		r.endLocked(c, Report{}, err)
+		return
+	}
+	r.setupObsLocked(c)
+	r.wg.Add(1)
+	go r.runLiveJob(c, g)
+}
+
+// runLiveJob executes one admitted job over its tenant group, then ends
+// it, which frees its nodes for the next admission round.
 func (r *Runtime) runLiveJob(c *rtJob, g *live.Group) {
 	defer r.wg.Done()
-	env := &liveEnv{
-		endpoint: func(n int) transport.Transport { return g.Endpoint(n) },
-		closeTr:  func() { _ = g.Close() },
-		packets:  g.Packets,
-		bytes:    g.Bytes,
-		cancel:   c.cancelCh,
-	}
-	rep, err := c.job.runLiveEnv(env)
+	rep, err := c.job.runLive(g, c.cancelCh)
 	r.mu.Lock()
-	c.report, c.err = rep, err
-	switch {
-	case err == nil:
-		c.state = JobDone
-	case errors.Is(err, ErrJobCanceled):
-		c.state = JobCanceled
-	default:
-		c.state = JobFailed
-	}
-	c.finishedAt = r.now()
-	r.schedFinishedLocked(c)
-	if c.partKey != "" {
-		r.obsParts.Drop(c.partKey)
-	}
-	r.freeNodes += c.job.cfg.Nodes
-	if !r.closed {
-		r.admitLiveLocked()
-	}
+	r.endLocked(c, rep, err)
 	r.mu.Unlock()
-	close(c.done)
 	r.notifyJobDone(c)
 }
 
@@ -1005,17 +1001,17 @@ func (r *Runtime) Run() error {
 	}
 	r.ran = true
 	s := sim.New()
+	if r.jitterFrac > 0 || r.jitterSeed != 0 {
+		s.SetJitter(r.jitterFrac, r.jitterSeed)
+	}
 	s.SetMaxTime(r.cfg.MaxVirtualTime)
 	r.sim = s
 	r.net = fabric.New(s, r.cfg.Nodes, r.cfg.Net)
-	r.simPool = bufpool.New()
 	nodeOf := make([]int, r.cfg.Nodes)
 	for i := range nodeOf {
 		nodeOf[i] = i
 	}
-	mpiCfg := r.cfg.MPI
-	mpiCfg.Pool = r.simPool
-	r.world = mpi.NewWorld(s, r.net, nodeOf, mpiCfg)
+	r.world = mpi.NewWorld(s, r.net, nodeOf, r.cfg.MPI)
 	// Turn every SubmitAt schedule into an arrival proc. Arrivals are
 	// non-daemon so the batch stays alive through gaps in the schedule;
 	// spawn order (schedule order) plus the timer heap's (time, seq)
@@ -1028,127 +1024,76 @@ func (r *Runtime) Run() error {
 		})
 	}
 	r.simActive = true
-	r.admitSimLocked()
+	r.admitLocked()
 	r.mu.Unlock()
 
 	err := s.Run()
 
-	r.mu.Lock()
-	r.simActive = false
-	r.mu.Unlock()
-
 	// Anything not terminal after the simulator drained hit the virtual
-	// time cap (or could never be admitted); resolve its handle so Wait
-	// and Drain cannot hang.
+	// time cap, deadlocked or could never be admitted; end it so Wait and
+	// Drain cannot hang. Every job's pool is quiet now: its counters are
+	// final.
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.simActive = false
 	for _, c := range r.jobs {
 		if c.state == JobQueued || c.state == JobRunning {
-			c.state = JobFailed
-			if err != nil {
-				c.err = fmt.Errorf("dcgn: batch ended before job %d finished: %w", c.id, err)
-			} else {
-				c.err = fmt.Errorf("dcgn: batch ended before job %d finished", c.id)
+			var rep Report
+			if c.state == JobRunning {
+				rep = r.simReport(c)
 			}
-			c.finishedAt = r.now()
-			r.schedFinishedLocked(c)
-			close(c.done)
+			cut := fmt.Errorf("dcgn: batch ended before job %d finished", c.id)
+			if err != nil {
+				cut = fmt.Errorf("dcgn: batch ended before job %d finished: %w", c.id, err)
+			}
+			r.dequeueLocked(c)
+			r.endLocked(c, rep, cut)
+		}
+		if c.pool != nil {
+			c.report.readPool(c.pool)
+			c.pool, c.job.pool = nil, nil
 		}
 	}
-	r.mu.Unlock()
 	return err
 }
 
-// admitSimLocked admits every queued job that fits onto concrete free
-// nodes, lowest ids first. Called at t=0 and, in virtual time, from
-// finishing jobs.
-func (r *Runtime) admitSimLocked() {
-	for {
-		c := r.pickLocked()
-		if c == nil || c.job.cfg.Nodes > r.freeNodes {
-			return
-		}
-		r.dequeueLocked(c)
-		r.chargeTenantLocked(c)
-		placement := make([]int, 0, c.job.cfg.Nodes)
-		for n := 0; n < len(r.free) && len(placement) < c.job.cfg.Nodes; n++ {
-			if r.free[n] {
-				r.free[n] = false
-				placement = append(placement, n)
-			}
-		}
-		r.freeNodes -= len(placement)
-		r.admitSimJobLocked(c, placement)
-	}
-}
-
-// admitSimJobLocked builds one admitted job's engine over the shared
+// startSimLocked builds an admitted job's engine over the shared
 // substrate: a private buffer pool retargeted under its world ranks, a
-// tenant transport group in its own tag band, per-node engines in
-// tenant-local node space, and kernels spawned through the counting rt
-// whose zero-crossing is the job's completion.
-func (r *Runtime) admitSimJobLocked(c *rtJob, placement []int) {
+// tenant group in its own tag band, per-node engines in tenant-local node
+// space, and kernels spawned through the counting rt whose zero-crossing
+// is the job's completion.
+func (r *Runtime) startSimLocked(c *rtJob) {
 	j := c.job
-	c.placement = placement
-	c.state = JobRunning
-	c.startedAt = r.sim.Now()
 	// The runtime's simulated clock is shared across tenants, so the
 	// critical-path window of this job starts at its admission instant.
 	j.flowEpoch = c.startedAt
-	r.schedAdmittedLocked(c)
-
 	j.sim = r.sim
-	crt := &countingRT{simRT: simRT{s: r.sim}, c: c, r: r}
-	j.rt = crt
-	j.net = r.net
-	j.world = r.world
-	j.pool = bufpool.New()
+	c.pool = bufpool.New()
+	j.pool = c.pool
 	// Exclusive node ownership makes the pool retarget safe: the previous
-	// tenant of these ranks has quiesced (its proc count crossed zero), so
-	// no staging acquired from the old pool is still in flight.
-	for _, w := range placement {
+	// tenant of these ranks has quiesced (its proc count crossed zero), and
+	// a late frame of its is released by its own daemons into its own pool.
+	for _, w := range c.placement {
 		r.world.SetRankPool(w, j.pool)
 	}
-	c.simGroup = simmpi.NewGroup(r.world, placement, c.id)
-	j.trFactory = func(local int) transport.Transport { return c.simGroup.Endpoint(local) }
+	c.wirePackets, c.wireBytes = r.net.Totals(c.placement...)
 	r.setupObsLocked(c)
-
-	j.nodes = nil
-	for n := 0; n < j.cfg.Nodes; n++ {
-		j.nodes = append(j.nodes, j.buildSimNode(n, r.sim, crt))
-	}
-	if err := j.spawnCPUKernels(); err != nil {
-		r.failAdmittedSimLocked(c, err)
-		return
-	}
-	if err := j.spawnGPUKernels(); err != nil {
-		r.failAdmittedSimLocked(c, err)
-		return
-	}
+	crt := &countingRT{simRT: simRT{s: r.sim}, c: c, r: r}
+	j.startSim(r.world, c.placement, c.id, func(int) (*sim.Sim, rt) { return r.sim, crt })
 }
 
-// failAdmittedSimLocked resolves a job whose kernel spawn failed after
-// its nodes were claimed. The nodes are returned (their leftover engine
-// daemons are tag-isolated and harmless); no procs were spawned, so
-// there is nothing to quiesce.
-func (r *Runtime) failAdmittedSimLocked(c *rtJob, err error) {
-	c.state = JobFailed
-	c.err = err
-	c.finishedAt = r.sim.Now()
-	r.schedFinishedLocked(c)
-	for _, n := range c.placement {
-		r.free[n] = true
-	}
-	r.freeNodes += len(c.placement)
-	if c.partKey != "" {
-		r.obsParts.Drop(c.partKey)
-	}
-	close(c.done)
+// simReport assembles a simulated job's Report at the current virtual
+// time: elapsed since admission, and the wire traffic its nodes sent
+// since then.
+func (r *Runtime) simReport(c *rtJob) Report {
+	pk, by := r.net.Totals(c.placement...)
+	return c.job.report(r.sim.Now()-c.startedAt, pk-c.wirePackets, by-c.wireBytes)
 }
 
-// countingRT is the per-tenant execution substrate on a shared
-// simulator: a 1:1 veneer over simRT that counts worker procs (kernels
-// and the helpers their requests spawn — daemons pass through), so the
-// runtime observes the job's completion as the count's zero-crossing.
+// countingRT is the per-job execution substrate on a shared simulator: a
+// 1:1 veneer over simRT that tracks worker procs (kernels and the helpers
+// their requests spawn — daemons pass through), so the runtime observes
+// the job's completion as the live count's zero-crossing.
 // Spawns happen strictly before the spawned proc runs, so the count can
 // never cross zero while work remains.
 type countingRT struct {
@@ -1157,91 +1102,50 @@ type countingRT struct {
 	r *Runtime
 }
 
-// Spawn counts and starts a worker proc, retaining the proc handle so
-// Cancel can tear the job down mid-run.
+// Spawn tracks and starts a worker proc.
 func (k *countingRT) Spawn(name string, fn func(transport.Proc)) {
-	k.c.procs.Add(1)
-	p := k.s.Spawn(name, func(p *sim.Proc) {
-		defer k.exit()
+	slot := k.enter()
+	k.c.simProcs[slot] = k.s.Spawn(name, func(p *sim.Proc) {
 		fn(p)
+		k.exit(slot)
 	})
-	k.c.simProcs = append(k.c.simProcs, p)
 }
 
-// SpawnID counts and starts a worker proc with a formatted name.
+// SpawnID tracks and starts a worker proc with a formatted name.
 func (k *countingRT) SpawnID(prefix string, id int, fn func(transport.Proc)) {
-	k.c.procs.Add(1)
-	p := k.s.SpawnID(prefix, id, func(p *sim.Proc) {
-		defer k.exit()
+	slot := k.enter()
+	k.c.simProcs[slot] = k.s.SpawnID(prefix, id, func(p *sim.Proc) {
 		fn(p)
+		k.exit(slot)
 	})
-	k.c.simProcs = append(k.c.simProcs, p)
 }
 
-// exit retires one worker proc; the first zero-crossing completes the
-// job, in virtual time, on the proc that crossed it.
-func (k *countingRT) exit() {
-	if k.c.procs.Add(-1) == 0 && !k.c.finished {
-		k.c.finished = true
-		k.r.finishSimJob(k.c)
+// enter returns a free slot for one more worker's handle.
+func (k *countingRT) enter() int {
+	c := k.c
+	if n := len(c.freeSlots); n > 0 {
+		slot := c.freeSlots[n-1]
+		c.freeSlots = c.freeSlots[:n-1]
+		return slot
 	}
+	c.simProcs = append(c.simProcs, nil)
+	return len(c.simProcs) - 1
 }
 
-// finishSimJob assembles a finished tenant's Report (per-tenant wire
-// totals from its group, per-job pool and engine counters via
-// fillReport), frees its nodes and admits successors — all at the
-// current virtual time.
-func (r *Runtime) finishSimJob(c *rtJob) {
-	j := c.job
-	rep := Report{
-		Elapsed:    r.sim.Now() - c.startedAt,
-		NetPackets: int(c.simGroup.Packets()),
-		NetBytes:   c.simGroup.Bytes(),
-	}
-	j.fillReport(&rep)
-	// The report owns the spans now; releasing the sink frees the
-	// preallocated per-node rings, which a long-lived runtime retaining
-	// every rtJob would otherwise hold forever. Safe here: the job's procs
-	// have all exited (this runs at the zero-crossing) and the sim event
-	// loop is single-threaded.
-	j.trace = nil
-	r.mu.Lock()
-	c.report = rep
-	c.state = JobDone
-	c.finishedAt = r.sim.Now()
-	r.schedFinishedLocked(c)
-	if c.partKey != "" {
-		r.obsParts.Drop(c.partKey)
-	}
-	for _, n := range c.placement {
-		r.free[n] = true
-	}
-	r.freeNodes += len(c.placement)
-	r.admitSimLocked()
-	r.mu.Unlock()
-	close(c.done)
-	r.notifyJobDone(c)
-}
-
-// --- Exclusive (single-job) execution ------------------------------------
-
-// runExclusive executes j as a runtime of one — the whole cluster, one
-// tenant, admitted immediately — on the legacy engine paths, which is
-// what keeps dcgn.NewJob(cfg).Run() bit-identical to the pre-runtime
-// engine. Job.Run delegates here after its observability setup.
-func runExclusive(j *Job) (Report, error) {
-	switch j.cfg.Transport.Name() {
-	case transport.BackendSim:
-		if j.cfg.Shards > 0 {
-			return j.runShardedSim()
-		}
-		return j.runSim()
-	case transport.BackendLive:
-		if j.cfg.Shards > 0 {
-			return Report{}, fmt.Errorf("dcgn: sharded runs need the simulated backend (the live backend has no virtual clock to window)")
-		}
-		return j.runLive()
-	default:
-		return Report{}, fmt.Errorf("dcgn: unknown transport backend %q", j.cfg.Transport.Backend)
+// exit retires one worker proc that returned; the first zero-crossing
+// completes the job, in virtual time, on the proc that crossed it. A proc
+// killed by Cancel or by the simulator's shutdown unwinds past this call,
+// so neither can complete the job.
+func (k *countingRT) exit(slot int) {
+	c := k.c
+	c.simProcs[slot] = nil
+	c.freeSlots = append(c.freeSlots, slot)
+	if len(c.freeSlots) == len(c.simProcs) && !c.finished {
+		c.finished = true
+		rep := k.r.simReport(c)
+		k.r.mu.Lock()
+		k.r.endLocked(c, rep, nil)
+		k.r.mu.Unlock()
+		k.r.notifyJobDone(c)
 	}
 }

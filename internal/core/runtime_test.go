@@ -122,8 +122,9 @@ func TestRuntimeSimBatchIsolation(t *testing.T) {
 			t.Errorf("%s: %d requests, solo run had %d (cross-tenant traffic?)",
 				label, rep.Requests, solo.Requests)
 		}
-		if rep.NetPackets == 0 || rep.NetBytes == 0 {
-			t.Errorf("%s: no wire traffic metered", label)
+		if rep.NetPackets != solo.NetPackets || rep.NetBytes != solo.NetBytes {
+			t.Errorf("%s: wire totals %d packets / %d bytes, solo %d / %d",
+				label, rep.NetPackets, rep.NetBytes, solo.NetPackets, solo.NetBytes)
 		}
 		if rep.PoolAcquires != solo.PoolAcquires {
 			t.Errorf("%s: %d pool acquires, solo %d (shared pool counters?)",
@@ -131,16 +132,11 @@ func TestRuntimeSimBatchIsolation(t *testing.T) {
 		}
 	}
 	// Symmetric co-tenants on disjoint equal node sets: bitwise-equal
-	// virtual elapsed time and per-tenant wire metering, or determinism
-	// broke. (Tenant NetPackets meter at the endpoint, so they are only
-	// comparable to each other — the solo fabric-level count includes
-	// MPI-internal control packets.)
+	// virtual elapsed time, or determinism broke. Wire totals are the
+	// fabric's per-node send counters over each tenant's placement, so
+	// they equal the solo run's above (MPI control packets included).
 	if rep1.Elapsed != rep2.Elapsed {
 		t.Errorf("symmetric tenants differ: %v vs %v", rep1.Elapsed, rep2.Elapsed)
-	}
-	if rep1.NetPackets != rep2.NetPackets || rep1.NetBytes != rep2.NetBytes {
-		t.Errorf("symmetric tenants metered different traffic: %d/%d vs %d/%d",
-			rep1.NetPackets, rep1.NetBytes, rep2.NetPackets, rep2.NetBytes)
 	}
 }
 
@@ -721,5 +717,86 @@ func TestRuntimeDrainRejectsSubmits(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRuntimeReleasesFinishedJobs pins that a long-lived runtime keeps
+// only what List, Wait and the flows endpoint need of a finished job: no
+// finished rtJob still reaches a nodeState, a pool or a trace sink, and
+// its live tenant group unregisters as it closes (live package,
+// TestCloseUnregistersGroup).
+func TestRuntimeReleasesFinishedJobs(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		r, err := NewRuntime(runtimeConfig(backend, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		var handles []*JobHandle
+		for i := 0; i < 6; i++ {
+			job := pingPongJob(backend, 2)
+			job.cfg.Trace = true
+			h, err := r.Submit(job, SubmitOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles = append(handles, h)
+		}
+		if backend == transport.BackendSim {
+			if err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, h := range handles {
+			rep, err := h.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Trace) == 0 {
+				t.Error("report lost its spans")
+			}
+		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, c := range r.jobs {
+			if c.job.nodes != nil || c.job.pool != nil || c.job.trace != nil || c.pool != nil {
+				t.Errorf("finished job %d still holds engine state", c.id)
+			}
+		}
+	})
+}
+
+// TestRuntimeSimCutJobDropsPartition ends a batch at its virtual-time cap
+// while a job with metrics on still runs: the job fails with the cap's
+// error and a partial Report, and its metrics partition is dropped like
+// any finished job's.
+func TestRuntimeSimCutJobDropsPartition(t *testing.T) {
+	rc := runtimeConfig(transport.BackendSim, 2)
+	rc.MaxVirtualTime = time.Millisecond
+	r, err := NewRuntime(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cfg := backendConfig(transport.BackendSim, 2, 1)
+	cfg.Metrics = true
+	job := NewJob(cfg)
+	job.SetCPUKernel(func(c *CPUCtx) { c.Compute(time.Second) })
+	h, err := r.Submit(job, SubmitOpts{Tenant: "slow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(); err == nil {
+		t.Fatal("batch ran past its virtual-time cap")
+	}
+	rep, err := h.Wait()
+	if err == nil {
+		t.Fatal("cut job reported success")
+	}
+	if len(rep.Nodes) != 2 || rep.Elapsed <= 0 || rep.Elapsed > rc.MaxVirtualTime {
+		t.Errorf("partial report: %d nodes, elapsed %v", len(rep.Nodes), rep.Elapsed)
+	}
+	if got := r.obsParts.Tenants(); len(got) != 1 || got[0] != "runtime" {
+		t.Errorf("partitions after the batch: %v, want only the runtime's", got)
 	}
 }

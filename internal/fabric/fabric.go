@@ -70,13 +70,6 @@ type Network struct {
 	// shardOf maps node id → shard index in a sharded network (nil for a
 	// plain single-Sim network).
 	shardOf []int
-
-	// PacketsSent and BytesSent count inter-node traffic only. They are
-	// maintained on plain networks; sharded networks keep per-node
-	// counters instead (shards mutate concurrently) — use Totals for a
-	// mode-independent view.
-	PacketsSent int
-	BytesSent   int64
 }
 
 // New creates a network of n nodes.
@@ -161,12 +154,21 @@ func (n *Network) Lookahead() time.Duration {
 	return n.cfg.Lat
 }
 
-// Totals returns inter-node packet and byte counts regardless of whether
-// the network is plain or sharded.
-func (n *Network) Totals() (packets int, bytes int64) {
-	for _, nd := range n.nodes {
-		packets += nd.pkts
-		bytes += nd.bytes
+// Totals returns the inter-node packets and bytes sent so far by the
+// given nodes, or by every node when none are given. Each node counts its
+// own sends, so the totals are exact on plain and sharded networks alike,
+// and a job placed on some nodes reads its own traffic.
+func (n *Network) Totals(nodes ...int) (packets int, bytes int64) {
+	if len(nodes) == 0 {
+		for _, nd := range n.nodes {
+			packets += nd.pkts
+			bytes += nd.bytes
+		}
+		return packets, bytes
+	}
+	for _, id := range nodes {
+		packets += n.nodes[id].pkts
+		bytes += n.nodes[id].bytes
 	}
 	return packets, bytes
 }
@@ -229,10 +231,6 @@ func (nd *Node) Send(p *sim.Proc, dst int, size int, payload any) {
 	}
 	nd.pkts++
 	nd.bytes += int64(size)
-	if nd.shard == nil {
-		nd.net.PacketsSent++
-		nd.net.BytesSent += int64(size)
-	}
 	// Outbound: hold the TX NIC for overhead + serialization.
 	nd.sendNIC.Use(p, cfg.SendOverhead+time.Duration(float64(size)/cfg.BW*1e9))
 	// In flight + receiver processing. Flight latency is NOT jittered so

@@ -65,7 +65,7 @@ func TestIntraNodeSharedMemoryPathIsCheaper(t *testing.T) {
 	if want := 1200 * time.Nanosecond; shmAt != want {
 		t.Fatalf("shm delivery at %v, want %v", shmAt, want)
 	}
-	if net.PacketsSent != 0 {
+	if pk, _ := net.Totals(); pk != 0 {
 		t.Fatal("intra-node packet counted as inter-node traffic")
 	}
 }
@@ -129,8 +129,15 @@ func TestStatsCount(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if net.PacketsSent != 2 || net.BytesSent != 300 {
-		t.Fatalf("stats %d pkts %d bytes", net.PacketsSent, net.BytesSent)
+	if pk, by := net.Totals(); pk != 2 || by != 300 {
+		t.Fatalf("stats %d pkts %d bytes", pk, by)
+	}
+	// Per-node totals count the sender's traffic only.
+	if pk, by := net.Totals(0); pk != 2 || by != 300 {
+		t.Fatalf("node 0 sent %d pkts %d bytes", pk, by)
+	}
+	if pk, by := net.Totals(1, 2); pk != 0 || by != 0 {
+		t.Fatalf("receivers sent %d pkts %d bytes", pk, by)
 	}
 }
 

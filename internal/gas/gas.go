@@ -164,8 +164,9 @@ func Run(cfg Config, worker func(w *Worker)) (Report, error) {
 		}
 	}
 	err := s.Run()
+	pk, by := net.Totals()
 	return Report{
-		Elapsed: s.Now(), NetPackets: net.PacketsSent, NetBytes: net.BytesSent,
+		Elapsed: s.Now(), NetPackets: pk, NetBytes: by,
 		PoolAcquires: cfg.MPI.Pool.Acquires(), PoolReleases: cfg.MPI.Pool.Releases(),
 	}, err
 }

@@ -11,11 +11,10 @@
 // goroutine at a time — cannot surface data races by construction.
 //
 // A Cluster is multi-tenant: every channel, collective rendezvous, pool
-// and counter lives in a per-tenant Group (Join), so co-resident jobs of
-// a multi-tenant runtime can never see each other's frames, block each
-// other's collectives, or pollute each other's pool accounting. New
-// creates a default whole-cluster group (tenant 0), which is the
-// single-job view the pre-tenancy API exposed.
+// and counter lives in a per-tenant Group (Join), so co-resident jobs can
+// never see each other's frames, block each other's collectives, or
+// pollute each other's pool accounting. A single job is a cluster with
+// one group.
 package live
 
 import (
@@ -36,55 +35,29 @@ const wireDepth = 128
 // Cluster is a set of live node endpoints wired to each other, shared by
 // one or more tenant groups.
 type Cluster struct {
-	pool  *bufpool.Pool
-	nodes int
-
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	// packets/bytes aggregate delivered wire traffic across every tenant;
-	// per-tenant totals live on the Groups.
-	packets atomic.Int64
-	bytes   atomic.Int64
-
 	groupsMu sync.Mutex
 	groups   map[int]*Group
-	def      *Group
 }
 
-// New creates a cluster of nodes endpoints sharing pool for wire-message
-// staging (nil allocates a private pool), with a default whole-cluster
-// tenant group (tenant 0) serving the single-job API: Node(n) is the
-// default group's endpoint for node n.
-func New(nodes int, pool *bufpool.Pool) *Cluster {
-	if nodes <= 0 {
-		panic("live: need at least one node")
-	}
-	if pool == nil {
-		pool = bufpool.New()
-	}
-	c := &Cluster{pool: pool, nodes: nodes, closed: make(chan struct{}), groups: make(map[int]*Group)}
-	g, err := c.Join(0, nodes, pool)
-	if err != nil {
-		panic(err) // unreachable: the cluster cannot be closed yet
-	}
-	c.def = g
-	return c
+// New creates an empty cluster; tenants Join it to get endpoints.
+func New() *Cluster {
+	return &Cluster{closed: make(chan struct{}), groups: make(map[int]*Group)}
 }
 
 // Join creates tenant's group of size endpoints drawing staging buffers
-// from pool (nil uses the cluster pool). Endpoint node numbering is
+// from pool (nil allocates a private pool). Endpoint node numbering is
 // tenant-local (0..size-1); the runtime's admission layer decides which
-// physical nodes back them. Tenant ids must be unique among live groups.
+// physical nodes back them. Tenant ids must be unique among open groups;
+// closing a group unregisters it.
 func (c *Cluster) Join(tenant, size int, pool *bufpool.Pool) (*Group, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("live: tenant group needs at least one node")
 	}
-	if c.isClosed() {
-		return nil, transport.ErrClosed
-	}
 	if pool == nil {
-		pool = c.pool
+		pool = bufpool.New()
 	}
 	g := &Group{c: c, tenant: tenant, pool: pool, closed: make(chan struct{})}
 	g.coll.init(g, size)
@@ -96,25 +69,19 @@ func (c *Cluster) Join(tenant, size int, pool *bufpool.Pool) (*Group, error) {
 			osIn: make(chan []byte, wireDepth),
 		})
 	}
+	// Check closed under the lock Close takes after closing, so a group
+	// either sees the close here or is in the set Close tears down.
 	c.groupsMu.Lock()
 	defer c.groupsMu.Unlock()
+	if c.isClosed() {
+		return nil, transport.ErrClosed
+	}
 	if _, dup := c.groups[tenant]; dup {
 		return nil, fmt.Errorf("live: tenant %d already joined", tenant)
 	}
 	c.groups[tenant] = g
 	return g, nil
 }
-
-// Node returns the default group's endpoint serving node n.
-func (c *Cluster) Node(n int) *Endpoint { return c.def.eps[n] }
-
-// Packets returns the number of wire messages delivered so far, summed
-// over every tenant.
-func (c *Cluster) Packets() int64 { return c.packets.Load() }
-
-// Bytes returns the total wire bytes delivered so far, summed over every
-// tenant.
-func (c *Cluster) Bytes() int64 { return c.bytes.Load() }
 
 // Close shuts the whole cluster down: every tenant group closes (blocked
 // receivers and collective participants unwind with transport.ErrClosed,
@@ -173,12 +140,6 @@ type Group struct {
 	coll collRound
 }
 
-// Tenant returns the group's tenant id.
-func (g *Group) Tenant() int { return g.tenant }
-
-// Size returns the number of endpoints in the group.
-func (g *Group) Size() int { return len(g.eps) }
-
 // Endpoint returns the group's endpoint for tenant-local node n.
 func (g *Group) Endpoint(n int) *Endpoint { return g.eps[n] }
 
@@ -188,12 +149,15 @@ func (g *Group) Packets() int64 { return g.packets.Load() }
 // Bytes returns the total wire bytes this group delivered.
 func (g *Group) Bytes() int64 { return g.bytes.Load() }
 
-// Close shuts this tenant's group down: its blocked receivers and
-// collective participants unwind with transport.ErrClosed and its
-// undelivered wire buffers drain back to its pool. Other tenants are
-// untouched. It is idempotent.
+// Close shuts this tenant's group down and unregisters it from the
+// cluster: its blocked receivers and collective participants unwind with
+// transport.ErrClosed and its undelivered wire buffers drain back to its
+// pool. Other tenants are untouched. It is idempotent.
 func (g *Group) Close() error {
 	g.closeOnce.Do(func() {
+		g.c.groupsMu.Lock()
+		delete(g.c.groups, g.tenant)
+		g.c.groupsMu.Unlock()
 		close(g.closed)
 		g.coll.wakeAll()
 		// Barrier: after this Lock/Unlock no Send can still be between its
@@ -265,8 +229,6 @@ func (e *Endpoint) sendOn(dstNode int, msg []byte, lane func(*Endpoint) chan []b
 	case lane(g.eps[dstNode]) <- cp:
 		g.packets.Add(1)
 		g.bytes.Add(int64(len(msg)))
-		g.c.packets.Add(1)
-		g.c.bytes.Add(int64(len(msg)))
 		return nil
 	case <-g.closed:
 		g.pool.Put(cp)

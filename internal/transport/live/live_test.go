@@ -14,14 +14,51 @@ import (
 
 var wall = &transport.WallProc{Epoch: time.Now()}
 
-func TestSendRecvRoundtrip(t *testing.T) {
-	c := New(2, nil)
-	defer c.Close()
-	msg := []byte("hello over the wire")
-	if err := c.Node(0).Send(wall, 1, msg); err != nil {
+// newGroup joins one n-node tenant group to a fresh cluster.
+func newGroup(t *testing.T, n int) *Group {
+	t.Helper()
+	g, err := New().Join(0, n, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Node(1).RecvMsg(wall)
+	return g
+}
+
+// TestCloseUnregistersGroup pins that a closed group leaves the cluster:
+// a long-lived cluster serving one group per job must not retain every
+// finished job's endpoints and channels.
+func TestCloseUnregistersGroup(t *testing.T) {
+	c := New()
+	defer c.Close()
+	for id := 1; id <= 3; id++ {
+		g, err := c.Join(id, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Close()
+	}
+	c.groupsMu.Lock()
+	n := len(c.groups)
+	c.groupsMu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d groups still registered after Close", n)
+	}
+	// The id is free again once its group closed.
+	g, err := c.Join(1, 2, nil)
+	if err != nil {
+		t.Fatalf("rejoin after close: %v", err)
+	}
+	g.Close()
+}
+
+func TestSendRecvRoundtrip(t *testing.T) {
+	c := newGroup(t, 2)
+	defer c.Close()
+	msg := []byte("hello over the wire")
+	if err := c.Endpoint(0).Send(wall, 1, msg); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Endpoint(1).RecvMsg(wall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +71,14 @@ func TestSendRecvRoundtrip(t *testing.T) {
 }
 
 func TestSendIsBuffered(t *testing.T) {
-	c := New(2, nil)
+	c := newGroup(t, 2)
 	defer c.Close()
 	msg := []byte("mutate me")
-	if err := c.Node(0).Send(wall, 1, msg); err != nil {
+	if err := c.Endpoint(0).Send(wall, 1, msg); err != nil {
 		t.Fatal(err)
 	}
 	copy(msg, "XXXXXXXXX") // caller reuses its buffer immediately
-	got, err := c.Node(1).RecvMsg(wall)
+	got, err := c.Endpoint(1).RecvMsg(wall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,18 +88,18 @@ func TestSendIsBuffered(t *testing.T) {
 }
 
 func TestSendBadNode(t *testing.T) {
-	c := New(2, nil)
+	c := newGroup(t, 2)
 	defer c.Close()
-	if err := c.Node(0).Send(wall, 7, []byte("x")); err == nil {
+	if err := c.Endpoint(0).Send(wall, 7, []byte("x")); err == nil {
 		t.Fatal("send to out-of-range node succeeded")
 	}
 }
 
 func TestCloseUnblocksReceiver(t *testing.T) {
-	c := New(1, nil)
+	c := newGroup(t, 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Node(0).RecvMsg(wall)
+		_, err := c.Endpoint(0).RecvMsg(wall)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -78,10 +115,10 @@ func TestCloseUnblocksReceiver(t *testing.T) {
 }
 
 func TestCloseUnblocksCollective(t *testing.T) {
-	c := New(2, nil)
+	c := newGroup(t, 2)
 	done := make(chan error, 1)
 	go func() {
-		done <- c.Node(0).Barrier(wall) // node 1 never joins
+		done <- c.Endpoint(0).Barrier(wall) // node 1 never joins
 	}()
 	time.Sleep(10 * time.Millisecond)
 	c.Close()
@@ -102,7 +139,10 @@ func TestCloseUnblocksCollective(t *testing.T) {
 func TestCloseSendRaceLeakGuard(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		pool := bufpool.New()
-		c := New(2, pool)
+		c, err := New().Join(0, 2, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for s := 0; s < 4; s++ {
@@ -112,7 +152,7 @@ func TestCloseSendRaceLeakGuard(t *testing.T) {
 				<-start
 				msg := []byte("race payload")
 				for k := 0; k < 8; k++ {
-					if err := c.Node(s%2).Send(wall, (s+1)%2, msg); err != nil {
+					if err := c.Endpoint(s%2).Send(wall, (s+1)%2, msg); err != nil {
 						return // closed under us: expected
 					}
 				}
@@ -135,7 +175,7 @@ func TestCloseSendRaceLeakGuard(t *testing.T) {
 
 // runColl runs fn concurrently for every node and returns the per-node
 // errors.
-func runColl(c *Cluster, n int, fn func(node int) error) []error {
+func runColl(c *Group, n int, fn func(node int) error) []error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -151,7 +191,7 @@ func runColl(c *Cluster, n int, fn func(node int) error) []error {
 
 func TestBcast(t *testing.T) {
 	const nodes = 3
-	c := New(nodes, nil)
+	c := newGroup(t, nodes)
 	defer c.Close()
 	bufs := make([][]byte, nodes)
 	for i := range bufs {
@@ -159,7 +199,7 @@ func TestBcast(t *testing.T) {
 	}
 	copy(bufs[1], "rootdata")
 	for i, err := range runColl(c, nodes, func(n int) error {
-		return c.Node(n).Bcast(wall, bufs[n], 1)
+		return c.Endpoint(n).Bcast(wall, bufs[n], 1)
 	}) {
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
@@ -174,7 +214,7 @@ func TestBcast(t *testing.T) {
 
 func TestGathervScatterv(t *testing.T) {
 	const nodes = 3
-	c := New(nodes, nil)
+	c := newGroup(t, nodes)
 	defer c.Close()
 	counts := []int{2, 3, 4}
 
@@ -186,7 +226,7 @@ func TestGathervScatterv(t *testing.T) {
 		if n == 2 {
 			recv = root
 		}
-		return c.Node(n).Gatherv(wall, send, recv, counts, 2)
+		return c.Endpoint(n).Gatherv(wall, send, recv, counts, 2)
 	}) {
 		if err != nil {
 			t.Fatalf("gatherv node %d: %v", i, err)
@@ -206,7 +246,7 @@ func TestGathervScatterv(t *testing.T) {
 		if n == 2 {
 			send = root
 		}
-		return c.Node(n).Scatterv(wall, send, counts, parts[n], 2)
+		return c.Endpoint(n).Scatterv(wall, send, counts, parts[n], 2)
 	}) {
 		if err != nil {
 			t.Fatalf("scatterv node %d: %v", i, err)
@@ -222,7 +262,7 @@ func TestGathervScatterv(t *testing.T) {
 
 func TestAlltoallv(t *testing.T) {
 	const nodes = 2
-	c := New(nodes, nil)
+	c := newGroup(t, nodes)
 	defer c.Close()
 	// Node i sends (i+1) bytes of value 10*i+j to node j.
 	sendCounts := [][]int{{1, 1}, {2, 2}}
@@ -233,7 +273,7 @@ func TestAlltoallv(t *testing.T) {
 	}
 	recvs := [][]byte{make([]byte, 3), make([]byte, 3)}
 	for i, err := range runColl(c, nodes, func(n int) error {
-		return c.Node(n).Alltoallv(wall, sends[n], sendCounts[n], recvs[n], recvCounts[n])
+		return c.Endpoint(n).Alltoallv(wall, sends[n], sendCounts[n], recvs[n], recvCounts[n])
 	}) {
 		if err != nil {
 			t.Fatalf("alltoallv node %d: %v", i, err)
@@ -248,13 +288,13 @@ func TestAlltoallv(t *testing.T) {
 }
 
 func TestCollectiveOpMismatch(t *testing.T) {
-	c := New(2, nil)
+	c := newGroup(t, 2)
 	defer c.Close()
 	errs := runColl(c, 2, func(n int) error {
 		if n == 0 {
-			return c.Node(0).Barrier(wall)
+			return c.Endpoint(0).Barrier(wall)
 		}
-		return c.Node(1).Bcast(wall, make([]byte, 4), 0)
+		return c.Endpoint(1).Bcast(wall, make([]byte, 4), 0)
 	})
 	for i, err := range errs {
 		if err == nil {
@@ -266,7 +306,7 @@ func TestCollectiveOpMismatch(t *testing.T) {
 func TestCollectiveRendezvousReuse(t *testing.T) {
 	// Back-to-back rounds through the same rendezvous, alternating ops.
 	const nodes = 3
-	c := New(nodes, nil)
+	c := newGroup(t, nodes)
 	defer c.Close()
 	for round := 0; round < 50; round++ {
 		buf := make([][]byte, nodes)
@@ -276,10 +316,10 @@ func TestCollectiveRendezvousReuse(t *testing.T) {
 		copy(buf[round%nodes], fmt.Sprintf("r%03d", round))
 		root := round % nodes
 		for i, err := range runColl(c, nodes, func(n int) error {
-			if err := c.Node(n).Barrier(wall); err != nil {
+			if err := c.Endpoint(n).Barrier(wall); err != nil {
 				return err
 			}
-			return c.Node(n).Bcast(wall, buf[n], root)
+			return c.Endpoint(n).Bcast(wall, buf[n], root)
 		}) {
 			if err != nil {
 				t.Fatalf("round %d node %d: %v", round, i, err)
